@@ -1,9 +1,8 @@
 """Interval implicit projection networks: certificates, equilibria, and
 Caputo fractional dynamics."""
 
-from .certify import (Certificate, TildeCoeffs, Weights, certificate,
-                      comparison_system, find_weights, tilde_coeffs,
-                      weighted_norm)
+from .certify import (Certificate, Weights, certificate, comparison_system,
+                      find_weights, weighted_norm)
 from .equilibrium import CertificateError, Equilibrium, picard_solve, residual
 from .fde import EnvelopeReport, IntegrationError, Trajectory, envelope_check, integrate
 from .mlf import mittag_leffler, ml_envelope, recip_gamma
@@ -18,11 +17,11 @@ __all__ = [
     "BUILTIN_NAMES", "BoxSet", "Certificate", "CertificateError",
     "EnvelopeReport", "Equilibrium", "IntegrationError", "IntervalMatrix",
     "Realization", "ShiftMap", "SpecError", "StateVector", "SystemSpec",
-    "TildeCoeffs", "Trajectory", "Weights", "builtin_scenario", "certificate",
+    "Trajectory", "Weights", "builtin_scenario", "certificate",
     "check_realization", "comparison_system", "envelope_check", "find_weights",
     "integrate", "load_spec", "mittag_leffler", "ml_envelope",
     "parse_spec_document", "picard_map", "picard_solve", "project_box",
     "project_implicit", "recip_gamma", "residual", "rhs", "sample_matrix",
-    "sample_realization", "serialize", "tilde_coeffs", "validate_system",
+    "sample_realization", "serialize", "validate_system",
     "weighted_norm",
 ]

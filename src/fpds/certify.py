@@ -14,16 +14,6 @@ from .projection import StateVector
 
 
 @dataclass(frozen=True)
-class TildeCoeffs:
-    """Worst-case interval magnitudes entering the contraction bound."""
-
-    a_tilde: np.ndarray       # n x n, max(|rho a_lo + H|, |rho a_hi + H|)
-    astar_tilde: np.ndarray   # n x m, max(|lo|, |hi|)
-    b_tilde: np.ndarray       # m x m, max(|lam b_lo + L|, |lam b_hi + L|)
-    bstar_tilde: np.ndarray   # m x n, max(|lo|, |hi|)
-
-
-@dataclass(frozen=True)
 class Weights:
     """Positive scaling vectors defining the weighted l1 norm."""
 
@@ -33,8 +23,14 @@ class Weights:
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float).reshape(-1))
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float).reshape(-1))
+        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.tau))):
+            raise SpecError("non-finite weights")
         if np.any(self.mu <= 0.0) or np.any(self.tau <= 0.0):
             raise SpecError("nonpositive weights")
+
+    def as_array(self) -> np.ndarray:
+        """The weights of z = (x, y): mu then tau."""
+        return np.concatenate([self.mu, self.tau])
 
 
 @dataclass(frozen=True)
@@ -51,18 +47,7 @@ class Certificate:
 
 
 def weighted_norm(w: Weights, s: StateVector) -> float:
-    return float(w.mu @ np.abs(s.x) + w.tau @ np.abs(s.y))
-
-
-def tilde_coeffs(spec: SystemSpec) -> TildeCoeffs:
-    H, L = spec.shifts.H, spec.shifts.L
-    a_tilde = np.maximum(np.abs(spec.rho * spec.A.lower + H),
-                         np.abs(spec.rho * spec.A.upper + H))
-    astar_tilde = np.maximum(np.abs(spec.Astar.lower), np.abs(spec.Astar.upper))
-    b_tilde = np.maximum(np.abs(spec.lam * spec.B.lower + L),
-                         np.abs(spec.lam * spec.B.upper + L))
-    bstar_tilde = np.maximum(np.abs(spec.Bstar.lower), np.abs(spec.Bstar.upper))
-    return TildeCoeffs(a_tilde, astar_tilde, b_tilde, bstar_tilde)
+    return float(w.as_array() @ np.abs(s.as_array()))
 
 
 def certificate(spec: SystemSpec, w: Weights) -> Certificate:
@@ -76,38 +61,19 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
     n, m = spec.n, spec.m
     if w.mu.size != n or w.tau.size != m:
         raise SpecError("dimension mismatch: weights")
-    H, L = spec.shifts.H, spec.shifts.L
-    tc = tilde_coeffs(spec)
-
-    a2 = 1.0 - spec.rho * np.diag(spec.A.upper) - np.diag(H)
-    a3 = 1.0 - spec.lam * np.diag(spec.B.upper) - np.diag(L)
-
-    # xi_i = sum_{j != i} (mu_j/mu_i)(|h_ji| + atilde_ji)
-    #        + sum_j (tau_j/mu_i) lam btilde*_ji
-    #        + |h_ii| + 1 - rho a_lo_ii - h_ii
-    M1 = np.abs(H) + tc.a_tilde
-    np.fill_diagonal(M1, 0.0)
-    xi = (w.mu @ M1 + spec.lam * (w.tau @ tc.bstar_tilde)) / w.mu
-    xi = xi + np.abs(np.diag(H)) + 1.0 - spec.rho * np.diag(spec.A.lower) - np.diag(H)
-
-    M2 = np.abs(L) + tc.b_tilde
-    if m > 0:
-        np.fill_diagonal(M2, 0.0)
-        zeta = (w.tau @ M2 + spec.rho * (w.mu @ tc.astar_tilde)) / w.tau
-        zeta = zeta + np.abs(np.diag(L)) + 1.0 - spec.lam * np.diag(spec.B.lower) - np.diag(L)
-    else:
-        zeta = np.zeros(0)
-
-    both = np.concatenate([xi, zeta])
-    kappa = float(np.max(both))
-    theta = 1.0 - kappa
-    ok = bool(np.all(a2 >= 0.0) and np.all(a3 >= 0.0)
-              and np.all(both > 0.0) and np.all(both < 1.0))
-    slack_terms = np.concatenate([a2, a3, both, 1.0 - both])
+    blk = spec.blocks
+    wz = w.as_array()
+    diag_s = np.diag(blk.S)
+    # in the block form of SystemSpec.blocks, (xi, zeta) are weighted column
+    # sums of T plus the diagonal terms; the margins are a2 on x rows, a3 on y
+    coeffs = (wz @ blk.T) / wz + np.abs(diag_s) + 1.0 - blk.r * np.diag(blk.M_lo) - diag_s
+    margins = 1.0 - blk.r * np.diag(blk.M_hi) - diag_s
+    kappa = float(np.max(coeffs))
+    ok = bool(np.all(margins >= 0.0) and np.all(coeffs > 0.0) and np.all(coeffs < 1.0))
     return Certificate(
-        a2_margins=a2, a3_margins=a3, xi=xi, zeta=zeta,
-        kappa=kappa, theta=theta,
-        min_slack=float(np.min(slack_terms)),
+        a2_margins=margins[:n], a3_margins=margins[n:], xi=coeffs[:n], zeta=coeffs[n:],
+        kappa=kappa, theta=1.0 - kappa,
+        min_slack=float(np.min(np.concatenate([margins, coeffs, 1.0 - coeffs]))),
         passed=ok,
         gains_warning=bool(np.any(spec.gains != 1.0)),
     )
@@ -116,24 +82,11 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
 def comparison_system(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal vector d and nonnegative coupling matrix C of the weight
     feasibility conditions: weights w > 0 exist iff d > 0 and rho(D^-1 C) < 1,
-    and then any w with (diag(d) - C) w > 0 works."""
-    n, m = spec.n, spec.m
-    H, L = spec.shifts.H, spec.shifts.L
-    tc = tilde_coeffs(spec)
-    d = np.empty(n + m)
-    d[:n] = spec.rho * np.diag(spec.A.lower) + np.diag(H) - np.abs(np.diag(H))
-    d[n:] = spec.lam * np.diag(spec.B.lower) + np.diag(L) - np.abs(np.diag(L))
-    C = np.zeros((n + m, n + m))
-    M1 = np.abs(H) + tc.a_tilde
-    np.fill_diagonal(M1, 0.0)
-    C[:n, :n] = M1.T
-    C[:n, n:] = spec.lam * tc.bstar_tilde.T
-    if m > 0:
-        M2 = np.abs(L) + tc.b_tilde
-        np.fill_diagonal(M2, 0.0)
-        C[n:, n:] = M2.T
-        C[n:, :n] = spec.rho * tc.astar_tilde.T
-    return d, C
+    and then any w with (diag(d) - C) w > 0 works. C is the transpose of the
+    coupling matrix T of SystemSpec.blocks."""
+    blk = spec.blocks
+    diag_s = np.diag(blk.S)
+    return blk.r * np.diag(blk.M_lo) + diag_s - np.abs(diag_s), blk.T.T.copy()
 
 
 def find_weights(spec: SystemSpec) -> Weights | None:

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import Weights, certificate, weighted_norm
-from .model import Realization, SpecError, SystemSpec, check_realization
-from .projection import StateVector, picard_map
+from .certify import Weights, certificate
+from .model import Realization, SystemSpec, check_realization
+from .projection import StateVector, block_map
 
 
 class CertificateError(RuntimeError):
@@ -24,16 +24,12 @@ class Equilibrium:
     step_norms: np.ndarray  # successive-difference norms, one per iteration
 
 
-def _default_start(spec: SystemSpec) -> StateVector:
-    return StateVector(x=spec.box1.midpoint(), y=spec.box2.midpoint())
-
-
 def residual(spec: SystemSpec, real: Realization, w: Weights,
              s: StateVector) -> float:
     """Weighted-l1 deviation from the fixed-point relations; zero only at the
     equilibrium of the given realization."""
-    f = picard_map(spec, real, s)
-    return weighted_norm(w, StateVector(x=f.x - s.x, y=f.y - s.y))
+    z = s.as_array()
+    return float(w.as_array() @ np.abs(block_map(spec, real.M, z) - z))
 
 
 def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
@@ -45,7 +41,7 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     With contraction modulus kappa the stopping rule is
     ||z_{k+1} - z_k|| <= tol (1 - kappa) / kappa, which guarantees
     ||z_{k+1} - z*|| <= tol. If max_iter is hit first, the best iterate is
-    returned with converged=False.
+    returned with converged=False. The default start is the box midpoint.
     """
     cert = certificate(spec, w)
     if not cert.passed:
@@ -54,30 +50,30 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     kappa = cert.kappa
     stop = tol * (1.0 - kappa) / kappa if kappa > 0.0 else tol
 
-    z = _default_start(spec) if start is None else start
+    M = real.M
+    wz = w.as_array()
+    z = 0.5 * (spec.blocks.lo + spec.blocks.hi) if start is None else start.as_array()
     steps: list[float] = []
-    first_step = 0.0
     converged = False
     k = 0
     for k in range(1, max_iter + 1):
-        z_next = picard_map(spec, real, z)
-        delta = weighted_norm(w, StateVector(x=z_next.x - z.x, y=z_next.y - z.y))
+        z_next = block_map(spec, M, z)
+        delta = float(wz @ np.abs(z_next - z))
         steps.append(delta)
-        if k == 1:
-            first_step = delta
         z = z_next
         if delta <= stop:
             converged = True
             break
 
-    if kappa > 0.0 and kappa < 1.0:
-        a_priori = kappa ** k / (1.0 - kappa) * first_step
+    if kappa > 0.0 and kappa < 1.0 and steps:
+        a_priori = kappa ** k / (1.0 - kappa) * steps[0]
     else:
         a_priori = 0.0
+    point = StateVector.split(z, spec.n)
     return Equilibrium(
-        point=z,
+        point=point,
         iterations=k,
-        residual=residual(spec, real, w, z),
+        residual=residual(spec, real, w, point),
         a_priori_bound=a_priori,
         converged=converged,
         step_norms=np.array(steps),

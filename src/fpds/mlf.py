@@ -143,7 +143,10 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
         raise ValueError(f"alpha out of supported range (0, 1]: {alpha}")
     if beta <= 0.0:
         raise ValueError(f"beta out of supported range (0, inf): {beta}")
-    return _ml_cached(alpha, beta, float(z))
+    z = float(z)
+    if math.isnan(z):
+        raise ValueError("argument z is NaN")
+    return _ml_cached(alpha, beta, z)
 
 
 def ml_envelope(alpha: float, theta: float, v0: float, t: float) -> float:

@@ -2,12 +2,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 
 class SpecError(ValueError):
     """A structural constraint of the problem data is violated."""
+
+
+# the interval blocks of M = [[A, A*], [B*, B]], in spec-file and sampling order
+BLOCKS = ("A", "Astar", "B", "Bstar")
 
 
 def _matrix(a) -> np.ndarray:
@@ -85,6 +91,22 @@ class ShiftMap:
         object.__setattr__(self, "L", _matrix(self.L))
 
 
+class BlockForm(NamedTuple):
+    """A spec as one system in z = (x, y): step sizes r (rho on x rows, lam on
+    y rows), c = (a, b), S = blockdiag(H, L), box bounds lo and hi, bounds
+    M_lo and M_hi of M = [[A, A*], [B*, B]], and the worst-case coupling
+    T = |S| + max(|r M_lo + S|, |r M_hi + S|) with zero diagonal."""
+
+    r: np.ndarray
+    c: np.ndarray
+    S: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    M_lo: np.ndarray
+    M_hi: np.ndarray
+    T: np.ndarray
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """Full description of one interval implicit projection network."""
@@ -115,6 +137,25 @@ class SystemSpec:
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)
 
+    @cached_property
+    def blocks(self) -> BlockForm:
+        """The spec as one projected system in z = (x, y), built once."""
+        n, m = self.n, self.m
+        r = np.concatenate([np.full(n, self.rho), np.full(m, self.lam)])
+        S = _block(self.shifts.H, np.zeros((n, m)), self.shifts.L, np.zeros((m, n)))
+        M_lo = _block(self.A.lower, self.Astar.lower, self.B.lower, self.Bstar.lower)
+        M_hi = _block(self.A.upper, self.Astar.upper, self.B.upper, self.Bstar.upper)
+        T = np.abs(S) + np.maximum(np.abs(r[:, None] * M_lo + S),
+                                   np.abs(r[:, None] * M_hi + S))
+        np.fill_diagonal(T, 0.0)
+        blk = BlockForm(r=r, c=np.concatenate([self.a, self.b]), S=S,
+                        lo=np.concatenate([self.box1.lo, self.box2.lo]),
+                        hi=np.concatenate([self.box1.hi, self.box2.hi]),
+                        M_lo=M_lo, M_hi=M_hi, T=T)
+        for arr in blk:
+            arr.setflags(write=False)
+        return blk
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -126,8 +167,19 @@ class Realization:
     Bstar: np.ndarray
 
     def __post_init__(self):
-        for name in ("A", "Astar", "B", "Bstar"):
+        for name in BLOCKS:
             object.__setattr__(self, name, _matrix(getattr(self, name)))
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """The block matrix [[A, A*], [B*, B]] acting on z = (x, y)."""
+        out = _block(self.A, self.Astar, self.B, self.Bstar)
+        out.setflags(write=False)
+        return out
+
+
+def _block(A, Astar, B, Bstar) -> np.ndarray:
+    return np.block([[A, Astar], [Bstar, B]])
 
 
 def _check_interval(name: str, im: IntervalMatrix, rows: int, cols: int) -> None:
@@ -152,17 +204,33 @@ def _check_box(name: str, box: BoxSet, size: int) -> None:
         raise SpecError(f"box bound order: {name}[{i}] has lo > hi")
 
 
+def _check_finite(spec: SystemSpec) -> None:
+    fields = {"alpha": spec.alpha, "rho": spec.rho, "lambda": spec.lam, "a": spec.a,
+              "b": spec.b, "H": spec.shifts.H, "L": spec.shifts.L, "gains": spec.gains}
+    for name in BLOCKS:
+        im = getattr(spec, name)
+        fields.update({f"{name}.lower": im.lower, f"{name}.upper": im.upper})
+    for name in ("box1", "box2"):
+        box = getattr(spec, name)
+        fields.update({f"{name}.lo": box.lo, f"{name}.hi": box.hi})
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise SpecError(f"non-finite value in {name}")
+
+
 def validate_system(spec: SystemSpec) -> SystemSpec:
     """Check every structural invariant; returns the spec unchanged on success.
 
-    Raises SpecError naming the first violated constraint. Validation is
-    idempotent; m = 0 systems (no y block) are accepted.
+    Raises SpecError naming the first violated constraint. Every number must
+    be finite, box bounds included (the default start is the box midpoint).
+    Validation is idempotent; m = 0 systems (no y block) are accepted.
     """
     n, m = spec.n, spec.m
     if n < 1:
         raise SpecError("dimension mismatch: n must be >= 1")
     if m < 0:
         raise SpecError("dimension mismatch: m must be >= 0")
+    _check_finite(spec)
     if not (0.0 < spec.alpha <= 1.0):
         raise SpecError("alpha outside (0, 1]")
     if spec.rho <= 0.0:
@@ -173,10 +241,8 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
         raise SpecError(f"dimension mismatch: a has length {spec.a.size}, expected {n}")
     if spec.b.size != m:
         raise SpecError(f"dimension mismatch: b has length {spec.b.size}, expected {m}")
-    _check_interval("A", spec.A, n, n)
-    _check_interval("Astar", spec.Astar, n, m)
-    _check_interval("B", spec.B, m, m)
-    _check_interval("Bstar", spec.Bstar, m, n)
+    for name, shape in zip(BLOCKS, ((n, n), (n, m), (m, m), (m, n))):
+        _check_interval(name, getattr(spec, name), *shape)
     if spec.shifts.H.shape != (n, n):
         raise SpecError(f"dimension mismatch: H is {spec.shifts.H.shape}, expected {(n, n)}")
     if spec.shifts.L.shape != (m, m):
@@ -220,15 +286,11 @@ def sample_realization(spec: SystemSpec, selector: str,
                        seed: int | None = None) -> Realization:
     """Sample all four blocks with the same selector (one RNG stream for random)."""
     rng = np.random.default_rng(seed) if selector == "random" else None
-    return Realization(
-        A=sample_matrix(spec.A, selector, rng=rng),
-        Astar=sample_matrix(spec.Astar, selector, rng=rng),
-        B=sample_matrix(spec.B, selector, rng=rng),
-        Bstar=sample_matrix(spec.Bstar, selector, rng=rng),
-    )
+    return Realization(**{name: sample_matrix(getattr(spec, name), selector, rng=rng)
+                          for name in BLOCKS})
 
 
 def check_realization(spec: SystemSpec, real: Realization) -> None:
-    for name in ("A", "Astar", "B", "Bstar"):
+    for name in BLOCKS:
         if not getattr(spec, name).contains(getattr(real, name)):
             raise SpecError(f"realization outside intervals: {name}")

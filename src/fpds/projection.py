@@ -56,28 +56,24 @@ def project_implicit(shift: np.ndarray, box: BoxSet, x: np.ndarray,
     return u + project_box(box, v - u)
 
 
-def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
-    """One application of the fixed-point map whose fixed points are equilibria.
+def block_map(spec: SystemSpec, M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Picard map on the flat state z for block matrix M (see BlockForm)."""
+    blk = spec.blocks
+    u = blk.S @ z
+    return u + np.clip(z - blk.r * (M @ z + blk.c) - u, blk.lo, blk.hi)
 
-    x-block: P_{Hx + K1}[x - rho (A x + A* y + a)], y-block analogous with
-    lambda, B, B*, b, L, K2. Gains are not applied here (positive gains do not
-    move the fixed point).
+
+def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
+    """One application of the fixed-point map whose fixed points are equilibria:
+    P_{S z + K}[z - r (M z + c)] on z = (x, y) with K = K1 x K2, in the block
+    form of SystemSpec.blocks. Gains are not applied here (positive gains do
+    not move the fixed point).
     """
-    x, y = s.x, s.y
-    vx = x - spec.rho * (real.A @ x + real.Astar @ y + spec.a)
-    fx = project_implicit(spec.shifts.H, spec.box1, x, vx)
-    if spec.m > 0:
-        vy = y - spec.lam * (real.B @ y + real.Bstar @ x + spec.b)
-        fy = project_implicit(spec.shifts.L, spec.box2, y, vy)
-    else:
-        fy = y
-    return StateVector(x=fx, y=fy)
+    return StateVector.split(block_map(spec, real.M, s.as_array()), spec.n)
 
 
 def rhs(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
     """Right-hand side of the projected dynamics, per-equation gains applied."""
     check_realization(spec, real)
-    f = picard_map(spec, real, s)
-    gx = spec.gains[: spec.n]
-    gy = spec.gains[spec.n :]
-    return StateVector(x=gx * (f.x - s.x), y=gy * (f.y - s.y))
+    z = s.as_array()
+    return StateVector.split(spec.gains * (block_map(spec, real.M, z) - z), spec.n)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import fpds
-from fpds import StateVector, Weights, certificate, find_weights, tilde_coeffs
+from fpds import (StateVector, Weights, certificate, comparison_system,
+                  find_weights)
 
 from conftest import make_1d_spec
 
 
 def test_tilde_042_offdiagonal(ex42):
-    # rho = 0.25, h21 = 0: max(|0.25*(-1.8)|, |0.25*3.8|) = 0.95
-    tc = tilde_coeffs(ex42)
-    assert tc.a_tilde[1, 0] == pytest.approx(0.95, abs=1e-15)
+    # rho = 0.25, h21 = 0: C[0, 1] = max(|0.25*(-1.8)|, |0.25*3.8|) = 0.95
+    d, C = comparison_system(ex42)
+    assert C[0, 1] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_tilde_symmetric_interval():
@@ -23,12 +24,16 @@ def test_tilde_symmetric_interval():
         shifts=fpds.ShiftMap(H=[[0.0]], L=np.zeros((0, 0))),
         box1=fpds.BoxSet([0.0], [1.0]), box2=fpds.BoxSet([], []),
     ))
-    assert tilde_coeffs(spec).a_tilde[0, 0] == pytest.approx(0.7)
+    # xi = 1 - rho a_lo = 1.7 and a2 = 1 - rho a_hi = 0.3
+    cert = certificate(spec, Weights(mu=[1.0], tau=[]))
+    assert cert.xi[0] == pytest.approx(1.7)
+    assert cert.a2_margins[0] == pytest.approx(0.3)
 
 
 def test_tilde_astar_41(ex41):
-    tc = tilde_coeffs(ex41)
-    assert tc.astar_tilde[0, 1] == pytest.approx(0.4)
+    # y1 drives x0 through rho A*[0, 1]: rho max(|0.2|, |0.4|) = 0.3*0.4
+    d, C = comparison_system(ex41)
+    assert C[4, 0] == pytest.approx(0.12)
 
 
 def test_certificate_42_printed_values(ex42, w42):
@@ -152,6 +157,26 @@ def test_zero_shift_reduces_to_unshifted_expressions(ex41, w41):
         assert cert.xi[i] == pytest.approx(expect, rel=1e-14)
 
 
+def test_zeta_hand_evaluation(ex41):
+    # per-row zeta on example-4.1, whose shift L is nonzero; non-unit weights
+    # exercise the mu/tau ratios
+    spec = ex41
+    mu, tau = np.array([1.3, 0.7, 1.1]), np.array([0.9, 1.6])
+    cert = certificate(spec, Weights(mu=mu, tau=tau))
+    rho, lam, L = spec.rho, spec.lam, spec.shifts.L
+    for j in range(2):
+        expect = abs(L[j, j]) + 1.0 - lam * spec.B.lower[j, j] - L[j, j]
+        for k in range(2):
+            if k != j:
+                bt = max(abs(lam * spec.B.lower[k, j] + L[k, j]),
+                         abs(lam * spec.B.upper[k, j] + L[k, j]))
+                expect += tau[k] / tau[j] * (abs(L[k, j]) + bt)
+        for i in range(3):
+            ast = max(abs(spec.Astar.lower[i, j]), abs(spec.Astar.upper[i, j]))
+            expect += mu[i] / tau[j] * rho * ast
+        assert cert.zeta[j] == pytest.approx(expect, rel=1e-14)
+
+
 def test_exact_matrix_no_shift_scalar_condition():
     # m = 0, exact A, H = 0: pass iff
     # 1 - sum_{j!=i} (mu_j/mu_i) rho |a_ji| - |1 - rho a_ii| > 0
@@ -194,3 +219,9 @@ def test_gains_warning_flag():
 def test_nonpositive_weights_rejected():
     with pytest.raises(fpds.SpecError, match="nonpositive weights"):
         Weights(mu=[1.0, -1.0], tau=[])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(fpds.SpecError, match="non-finite weights"):
+        Weights(mu=[bad, 1.0], tau=[])

@@ -1,4 +1,6 @@
 import io
+import json
+import math
 
 import pytest
 
@@ -66,6 +68,16 @@ def test_malformed_spec_file(tmp_path):
     code, text = capture(["certify", str(path)])
     assert code == EXIT_INPUT
     assert "parse error" in text
+
+
+def test_non_finite_spec_file_is_input_error(tmp_path):
+    doc = json.loads(fpds.serialize(fpds.builtin_scenario("example-4.2")))
+    doc["intervals"]["A"]["upper"][0][1] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, text = capture(["certify", str(path), "--weights", "2,1"])
+    assert code == EXIT_INPUT
+    assert "non-finite value in A.upper" in text
 
 
 def test_equilibrium_output():

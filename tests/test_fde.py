@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,47 @@ def test_stationary_start_passes_trivially(ex42, w42):
     assert report.passed
     assert report.v0 <= 1e-9
     assert report.max_ratio == 0.0
+
+
+def test_envelope_underflow_counts_zero_over_zero_as_zero():
+    # alpha = 1: V and the envelope are both v0 exp(-theta t), and both
+    # underflow to exactly 0 beyond t ~ 745/theta
+    theta, v0 = 1.0, 1.0
+    times = np.linspace(0.0, 3000.0, 3001)
+    states = np.array([[v0 * math.exp(-theta * t)] for t in times])
+    assert np.count_nonzero(states == 0.0) > 1000
+    real = fpds.Realization(A=[[1.0]], Astar=np.zeros((1, 0)),
+                            B=np.zeros((0, 0)), Bstar=np.zeros((0, 1)))
+    traj = fpds.Trajectory(times=times, states=states, alpha=1.0,
+                           realization=real, n=1)
+    eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
+                          residual=0.0, a_priori_bound=0.0, converged=True,
+                          step_norms=np.zeros(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = envelope_check(traj, eq, Weights(mu=[1.0], tau=[]), theta)
+    assert report.passed
+    assert report.violations == 0
+    assert math.isfinite(report.max_ratio)
+    assert report.max_ratio == pytest.approx(1.0)
+
+
+def test_envelope_ratio_beyond_float_range_is_inf():
+    # at t = 2 the envelope exp(-368 t) is subnormal and V / env overflows
+    real = fpds.Realization(A=[[1.0]], Astar=np.zeros((1, 0)),
+                            B=np.zeros((0, 0)), Bstar=np.zeros((0, 1)))
+    traj = fpds.Trajectory(times=np.array([0.0, 1.0, 2.0]),
+                           states=np.array([[1.0], [0.5], [1e-10]]), alpha=1.0,
+                           realization=real, n=1)
+    eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
+                          residual=0.0, a_priori_bound=0.0, converged=True,
+                          step_norms=np.zeros(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = envelope_check(traj, eq, Weights(mu=[1.0], tau=[]), 368.0)
+    assert report.violations == 2
+    assert report.max_ratio == math.inf
+    assert not report.passed
 
 
 def test_two_starts_approach_each_other(ex42, w42):

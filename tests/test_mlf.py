@@ -147,6 +147,11 @@ def test_parameter_range_errors(alpha, beta):
         mittag_leffler(alpha, beta, -1.0)
 
 
+def test_nan_argument_named():
+    with pytest.raises(ValueError, match="argument z is NaN"):
+        mittag_leffler(0.8, 1.0, math.nan)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"alpha": 0.8, "theta": 0.1, "v0": 1.0, "t": -1.0},
     {"alpha": 0.8, "theta": 0.0, "v0": 1.0, "t": 1.0},

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -99,3 +103,36 @@ def test_m_zero_blocks_are_empty(ex42):
     real = fpds.sample_realization(ex42, "midpoint")
     assert real.B.shape == (0, 0)
     assert real.Bstar.shape == (0, 2)
+
+
+NUMERIC_FIELDS = ("alpha", "rho", "lambda", "a", "b", "A.lower", "A.upper",
+                  "Astar.lower", "Astar.upper", "B.lower", "B.upper",
+                  "Bstar.lower", "Bstar.upper", "H", "L", "box1.lo", "box1.hi",
+                  "box2.lo", "box2.hi", "gains")
+
+
+def _poisoned(spec, field, bad):
+    """spec with the first entry of the named field replaced by bad."""
+    def hit(arr):
+        arr = np.array(arr, dtype=float)
+        arr.flat[0] = bad
+        return arr
+
+    if field in ("alpha", "rho"):
+        return dataclasses.replace(spec, **{field: bad})
+    if field == "lambda":
+        return dataclasses.replace(spec, lam=bad)
+    if field in ("a", "b", "gains"):
+        return dataclasses.replace(spec, **{field: hit(getattr(spec, field))})
+    outer, inner = (("shifts", field) if field in ("H", "L")
+                    else field.split("."))
+    obj = getattr(spec, outer)
+    return dataclasses.replace(
+        spec, **{outer: dataclasses.replace(obj, **{inner: hit(getattr(obj, inner))})})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_non_finite_field_rejected(ex41, field, bad):
+    with pytest.raises(SpecError, match=re.escape(f"non-finite value in {field}")):
+        fpds.validate_system(_poisoned(ex41, field, bad))

@@ -142,3 +142,31 @@ def test_rhs_gains_scale_each_equation():
     s = StateVector(x=[0.0], y=[])
     base = fpds.rhs(spec, real, s).x[0]
     assert fpds.rhs(gained, real, s).x[0] == pytest.approx(2.5 * base)
+
+
+@pytest.mark.parametrize("scenario,gains,selector", [
+    ("example-4.1", None, "lower"),
+    ("example-4.1", None, "random"),
+    ("traffic-gstm", [1.0, 2.0, 1.0, 0.5], "random"),
+])
+def test_rhs_hand_evaluation_both_blocks(scenario, gains, selector):
+    # row by row: x rows use rho, A, A*, H, box1; y rows lam, B, B*, L, box2
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    real = fpds.sample_realization(spec, selector, seed=17)
+    # near the box midpoint some rows clamp and some do not
+    rng = np.random.default_rng(23)
+    x = spec.box1.midpoint() + rng.normal(size=spec.n)
+    y = spec.box2.midpoint() + rng.normal(size=spec.m)
+    out = fpds.rhs(spec, real, StateVector(x=x, y=y))
+
+    def row(i, step, own, cross, offset, shift, box, v, other, g):
+        drive = v[i] - step * (own[i] @ v + cross[i] @ other + offset[i])
+        u = shift[i] @ v
+        return g * (u + min(max(drive - u, box.lo[i]), box.hi[i]) - v[i])
+
+    expect_x = [row(i, spec.rho, real.A, real.Astar, spec.a, spec.shifts.H,
+                    spec.box1, x, y, spec.gains[i]) for i in range(spec.n)]
+    expect_y = [row(j, spec.lam, real.B, real.Bstar, spec.b, spec.shifts.L,
+                    spec.box2, y, x, spec.gains[spec.n + j]) for j in range(spec.m)]
+    np.testing.assert_allclose(out.x, expect_x, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out.y, expect_y, rtol=0, atol=1e-13)
