@@ -47,7 +47,7 @@ class Certificate:
 
 
 def weighted_norm(w: Weights, s: StateVector) -> float:
-    return float(w.as_array() @ np.abs(s.as_array()))
+    return float(w.mu @ np.abs(s.x) + w.tau @ np.abs(s.y))
 
 
 def certificate(spec: SystemSpec, w: Weights) -> Certificate:

@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import Weights, certificate
+from .certify import Weights, certificate, weighted_norm
 from .model import Realization, SystemSpec, check_realization
-from .projection import StateVector, block_map
+from .projection import StateVector, _flat, block_map
 
 
 class CertificateError(RuntimeError):
@@ -28,8 +28,8 @@ def residual(spec: SystemSpec, real: Realization, w: Weights,
              s: StateVector) -> float:
     """Weighted-l1 deviation from the fixed-point relations; zero only at the
     equilibrium of the given realization."""
-    z = s.as_array()
-    return float(w.as_array() @ np.abs(block_map(spec, real.M, z) - z))
+    z = _flat(spec, s)
+    return weighted_norm(w, StateVector.split(block_map(spec, real.M, z) - z, spec.n))
 
 
 def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
@@ -52,7 +52,7 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
 
     M = real.M
     wz = w.as_array()
-    z = 0.5 * (spec.blocks.lo + spec.blocks.hi) if start is None else start.as_array()
+    z = spec.blocks.box.midpoint() if start is None else _flat(spec, start)
     steps: list[float] = []
     converged = False
     k = 0

@@ -16,7 +16,7 @@ from .certify import Weights
 from .equilibrium import Equilibrium
 from .mlf import mittag_leffler
 from .model import Realization, SpecError, SystemSpec, check_realization
-from .projection import StateVector, block_map
+from .projection import StateVector, _flat, block_map
 
 
 class IntegrationError(RuntimeError):
@@ -82,7 +82,7 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     c_pred = h ** alpha / math.gamma(alpha + 1.0)
     c_corr = h ** alpha / math.gamma(alpha + 2.0)
 
-    z_init = z0.as_array()
+    z_init = _flat(spec, z0)
     Z = np.empty((steps + 1, z_init.size))
     F = np.empty_like(Z)
     Z[0] = z_init
@@ -120,6 +120,8 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
     eq_arr = eq.point.as_array()
     if eq_arr.size != traj.states.shape[1]:
         raise SpecError("dimension mismatch between trajectory and equilibrium")
+    if w.mu.size != traj.n or w.tau.size != eq_arr.size - traj.n:
+        raise SpecError("dimension mismatch: weights")
 
     v = np.abs(traj.states - eq_arr) @ w.as_array()
     v0 = float(v[0])

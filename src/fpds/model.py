@@ -93,15 +93,14 @@ class ShiftMap:
 
 class BlockForm(NamedTuple):
     """A spec as one system in z = (x, y): step sizes r (rho on x rows, lam on
-    y rows), c = (a, b), S = blockdiag(H, L), box bounds lo and hi, bounds
-    M_lo and M_hi of M = [[A, A*], [B*, B]], and the worst-case coupling
-    T = |S| + max(|r M_lo + S|, |r M_hi + S|) with zero diagonal."""
+    y rows), c = (a, b), S = blockdiag(H, L), the joined box K = K1 x K2,
+    bounds M_lo and M_hi of M = [[A, A*], [B*, B]], and the worst-case
+    coupling T = |S| + max(|r M_lo + S|, |r M_hi + S|) with zero diagonal."""
 
     r: np.ndarray
     c: np.ndarray
     S: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    box: BoxSet
     M_lo: np.ndarray
     M_hi: np.ndarray
     T: np.ndarray
@@ -148,13 +147,12 @@ class SystemSpec:
         T = np.abs(S) + np.maximum(np.abs(r[:, None] * M_lo + S),
                                    np.abs(r[:, None] * M_hi + S))
         np.fill_diagonal(T, 0.0)
-        blk = BlockForm(r=r, c=np.concatenate([self.a, self.b]), S=S,
-                        lo=np.concatenate([self.box1.lo, self.box2.lo]),
-                        hi=np.concatenate([self.box1.hi, self.box2.hi]),
-                        M_lo=M_lo, M_hi=M_hi, T=T)
-        for arr in blk:
+        c = np.concatenate([self.a, self.b])
+        for arr in (r, c, S, M_lo, M_hi, T):
             arr.setflags(write=False)
-        return blk
+        box = BoxSet(lo=np.concatenate([self.box1.lo, self.box2.lo]),
+                     hi=np.concatenate([self.box1.hi, self.box2.hi]))
+        return BlockForm(r=r, c=c, S=S, box=box, M_lo=M_lo, M_hi=M_hi, T=T)
 
 
 @dataclass(frozen=True)
@@ -241,8 +239,10 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
         raise SpecError(f"dimension mismatch: a has length {spec.a.size}, expected {n}")
     if spec.b.size != m:
         raise SpecError(f"dimension mismatch: b has length {spec.b.size}, expected {m}")
-    for name, shape in zip(BLOCKS, ((n, n), (n, m), (m, m), (m, n))):
-        _check_interval(name, getattr(spec, name), *shape)
+    _check_interval("A", spec.A, n, n)
+    _check_interval("Astar", spec.Astar, n, m)
+    _check_interval("B", spec.B, m, m)
+    _check_interval("Bstar", spec.Bstar, m, n)
     if spec.shifts.H.shape != (n, n):
         raise SpecError(f"dimension mismatch: H is {spec.shifts.H.shape}, expected {(n, n)}")
     if spec.shifts.L.shape != (m, m):
@@ -286,8 +286,12 @@ def sample_realization(spec: SystemSpec, selector: str,
                        seed: int | None = None) -> Realization:
     """Sample all four blocks with the same selector (one RNG stream for random)."""
     rng = np.random.default_rng(seed) if selector == "random" else None
-    return Realization(**{name: sample_matrix(getattr(spec, name), selector, rng=rng)
-                          for name in BLOCKS})
+    return Realization(
+        A=sample_matrix(spec.A, selector, rng=rng),
+        Astar=sample_matrix(spec.Astar, selector, rng=rng),
+        B=sample_matrix(spec.B, selector, rng=rng),
+        Bstar=sample_matrix(spec.Bstar, selector, rng=rng),
+    )
 
 
 def check_realization(spec: SystemSpec, real: Realization) -> None:

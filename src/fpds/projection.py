@@ -56,11 +56,18 @@ def project_implicit(shift: np.ndarray, box: BoxSet, x: np.ndarray,
     return u + project_box(box, v - u)
 
 
+def _flat(spec: SystemSpec, s: StateVector) -> np.ndarray:
+    """The state as one array z = (x, y), once its split is checked against spec."""
+    if s.x.size != spec.n or s.y.size != spec.m:
+        raise SpecError("dimension mismatch: state")
+    return s.as_array()
+
+
 def block_map(spec: SystemSpec, M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The Picard map on the flat state z for block matrix M (see BlockForm)."""
+    """The Picard map on the flat state z for block matrix M (see BlockForm):
+    the projection of z - r (M z + c) onto the shifted box S z + K."""
     blk = spec.blocks
-    u = blk.S @ z
-    return u + np.clip(z - blk.r * (M @ z + blk.c) - u, blk.lo, blk.hi)
+    return project_implicit(blk.S, blk.box, z, z - blk.r * (M @ z + blk.c))
 
 
 def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
@@ -69,11 +76,11 @@ def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVect
     form of SystemSpec.blocks. Gains are not applied here (positive gains do
     not move the fixed point).
     """
-    return StateVector.split(block_map(spec, real.M, s.as_array()), spec.n)
+    return StateVector.split(block_map(spec, real.M, _flat(spec, s)), spec.n)
 
 
 def rhs(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
     """Right-hand side of the projected dynamics, per-equation gains applied."""
     check_realization(spec, real)
-    z = s.as_array()
+    z = _flat(spec, s)
     return StateVector.split(spec.gains * (block_map(spec, real.M, z) - z), spec.n)

@@ -6,8 +6,8 @@ import json
 import numpy as np
 
 from .certify import Weights
-from .model import (BLOCKS, BoxSet, IntervalMatrix, ShiftMap, SpecError,
-                    SystemSpec, validate_system)
+from .model import (BoxSet, IntervalMatrix, ShiftMap, SpecError, SystemSpec,
+                    validate_system)
 
 BUILTIN_NAMES = ("example-4.1", "example-4.2", "traffic-gstm")
 
@@ -126,9 +126,12 @@ def serialize(spec: SystemSpec, weights: Weights | None = None) -> str:
         "lambda": spec.lam,
         "a": spec.a.tolist(),
         "b": spec.b.tolist(),
-        "intervals": {name: {"lower": getattr(spec, name).lower.tolist(),
-                             "upper": getattr(spec, name).upper.tolist()}
-                      for name in BLOCKS},
+        "intervals": {
+            "A": {"lower": spec.A.lower.tolist(), "upper": spec.A.upper.tolist()},
+            "Astar": {"lower": spec.Astar.lower.tolist(), "upper": spec.Astar.upper.tolist()},
+            "B": {"lower": spec.B.lower.tolist(), "upper": spec.B.upper.tolist()},
+            "Bstar": {"lower": spec.Bstar.lower.tolist(), "upper": spec.Bstar.upper.tolist()},
+        },
         "shifts": {"H": spec.shifts.H.tolist(), "L": spec.shifts.L.tolist()},
         "boxes": {
             "box1": {"lo": spec.box1.lo.tolist(), "hi": spec.box1.hi.tolist()},
@@ -175,9 +178,14 @@ def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | No
             rho=float(doc["rho"]),
             lam=float(doc.get("lambda", 1.0)),
             a=doc["a"], b=doc["b"],
-            **{name: IntervalMatrix(*(_shaped(f"{name}.{bound}", intervals[name][bound], *shape)
-                                      for bound in ("lower", "upper")))
-               for name, shape in zip(BLOCKS, ((n, n), (n, m), (m, m), (m, n)))},
+            A=IntervalMatrix(_shaped("A.lower", intervals["A"]["lower"], n, n),
+                             _shaped("A.upper", intervals["A"]["upper"], n, n)),
+            Astar=IntervalMatrix(_shaped("Astar.lower", intervals["Astar"]["lower"], n, m),
+                                 _shaped("Astar.upper", intervals["Astar"]["upper"], n, m)),
+            B=IntervalMatrix(_shaped("B.lower", intervals["B"]["lower"], m, m),
+                             _shaped("B.upper", intervals["B"]["upper"], m, m)),
+            Bstar=IntervalMatrix(_shaped("Bstar.lower", intervals["Bstar"]["lower"], m, n),
+                                 _shaped("Bstar.upper", intervals["Bstar"]["upper"], m, n)),
             shifts=ShiftMap(H=_shaped("H", shifts["H"], n, n),
                             L=_shaped("L", shifts["L"], m, m)),
             box1=BoxSet(lo=boxes["box1"]["lo"], hi=boxes["box1"]["hi"]),

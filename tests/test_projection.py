@@ -170,3 +170,31 @@ def test_rhs_hand_evaluation_both_blocks(scenario, gains, selector):
                     spec.box2, y, x, spec.gains[spec.n + j]) for j in range(spec.m)]
     np.testing.assert_allclose(out.x, expect_x, rtol=0, atol=1e-13)
     np.testing.assert_allclose(out.y, expect_y, rtol=0, atol=1e-13)
+
+
+def test_mis_split_state_rejected(ex41, w41):
+    # the total length n + m = 5 is right, but x has 4 entries instead of 3
+    real = fpds.sample_realization(ex41, "lower")
+    bad = StateVector(x=np.zeros(4), y=np.zeros(1))
+    calls = [
+        lambda: fpds.picard_map(ex41, real, bad),
+        lambda: fpds.rhs(ex41, real, bad),
+        lambda: fpds.residual(ex41, real, w41, bad),
+        lambda: fpds.picard_solve(ex41, real, w41, start=bad),
+        lambda: fpds.integrate(ex41, real, bad, 1.0, 10),
+    ]
+    for call in calls:
+        with pytest.raises(fpds.SpecError, match="dimension mismatch: state"):
+            call()
+
+
+def test_mis_split_weights_rejected(ex41, w41):
+    real = fpds.sample_realization(ex41, "lower")
+    s = StateVector(x=ex41.box1.midpoint(), y=ex41.box2.midpoint())
+    bad = fpds.Weights(mu=np.ones(4), tau=np.ones(1))
+    with pytest.raises(ValueError):
+        fpds.weighted_norm(bad, s)
+    eq = fpds.picard_solve(ex41, real, w41)
+    traj = fpds.integrate(ex41, real, s, 1.0, 10)
+    with pytest.raises(fpds.SpecError, match="dimension mismatch: weights"):
+        fpds.envelope_check(traj, eq, bad, theta=0.1)
