@@ -92,18 +92,19 @@ def comparison_system(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
 def find_weights(spec: SystemSpec) -> Weights | None:
     """Search for weights making the certificate pass; None if infeasible.
 
-    Solves (diag(d) - C) w = 1: when diag(d) - C is a nonsingular M-matrix its
-    inverse is nonnegative, so w is positive and gives uniform slack across
-    rows. The returned weights are re-verified through certificate().
+    Solves (diag(d) - C) w = 1. C >= 0 makes diag(d) - C a Z-matrix, which has
+    a positive solution iff it is a nonsingular M-matrix, i.e. iff d > 0 and
+    rho(D^-1 C) < 1 (Berman & Plemmons, ch. 6): a singular system or a w that
+    is not positive and finite means infeasible. Otherwise w, which gives
+    uniform slack across rows, is re-verified through certificate(), which
+    decides in floating point.
     """
     d, C = comparison_system(spec)
-    if np.any(d <= 0.0):
+    try:
+        w = np.linalg.solve(np.diag(d) - C, np.ones(d.size))
+    except np.linalg.LinAlgError:
         return None
-    radius = float(np.max(np.abs(np.linalg.eigvals(C / d[:, None]))))
-    if radius >= 1.0:
-        return None
-    w = np.linalg.solve(np.diag(d) - C, np.ones(d.size))
-    if np.any(w <= 0.0):
+    if not np.all((w > 0.0) & (w < np.inf)):
         return None
     weights = Weights(mu=w[: spec.n], tau=w[spec.n :])
     if not certificate(spec, weights).passed:

@@ -71,11 +71,6 @@ def _resolve_weights(spec: SystemSpec, weights_arg: str | None,
     return w
 
 
-def _realization(spec: SystemSpec, selector: str, seed: int) -> Realization:
-    return sample_realization(spec, selector,
-                              seed=seed if selector == "random" else None)
-
-
 def _initial_state(spec: SystemSpec, x0: str | None, y0: str | None) -> StateVector:
     x = _parse_floats(x0) if x0 else spec.box1.midpoint()
     y = _parse_floats(y0) if y0 else spec.box2.midpoint()
@@ -129,7 +124,7 @@ def _cmd_equilibrium(args, out) -> int:
     w = _resolve_weights(spec, args.weights, out)
     if w is None:
         return EXIT_FAIL
-    real = _realization(spec, args.selector, args.seed)
+    real = sample_realization(spec, args.selector, seed=args.seed)
     eq = picard_solve(spec, real, w, tol=args.tol, max_iter=args.max_iter)
     if not eq.converged:
         print(f"unconverged after {eq.iterations} iterations", file=out)
@@ -143,7 +138,7 @@ def _cmd_equilibrium(args, out) -> int:
 
 def _cmd_simulate(args, out) -> int:
     spec = _load_scenario(args.scenario)
-    real = _realization(spec, args.selector, args.seed)
+    real = sample_realization(spec, args.selector, seed=args.seed)
     z0 = _initial_state(spec, args.x0, args.y0)
     traj = integrate(spec, real, z0, args.t_end, args.steps)
     _write_csv(traj, spec, args.output, out)
@@ -165,7 +160,7 @@ def _cmd_envelope(args, out) -> int:
     w = _resolve_weights(spec, args.weights, out)
     if w is None:
         return EXIT_FAIL
-    real = _realization(spec, args.selector, args.seed)
+    real = sample_realization(spec, args.selector, seed=args.seed)
     z0 = _initial_state(spec, args.x0, args.y0)
     report = _run_envelope(spec, real, w, z0, args)
     print(f"v0:         {_fmt(report.v0)}", file=out)

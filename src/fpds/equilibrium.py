@@ -1,12 +1,13 @@
 """Equilibrium computation by Picard iteration on the contraction map."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import Weights, certificate, weighted_norm
-from .model import Realization, SystemSpec, check_realization
+from .model import Realization, SpecError, SystemSpec, check_realization
 from .projection import StateVector, _flat, block_map
 
 
@@ -42,20 +43,25 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     ||z_{k+1} - z_k|| <= tol (1 - kappa) / kappa, which guarantees
     ||z_{k+1} - z*|| <= tol. If max_iter is hit first, the best iterate is
     returned with converged=False. The default start is the box midpoint.
+    tol must be finite and positive and max_iter at least 1; a passing
+    certificate puts every xi_i, zeta_j and hence kappa inside (0, 1).
     """
+    if not 0.0 < tol < math.inf:
+        raise SpecError("tol must be finite and positive")
+    if max_iter < 1:
+        raise SpecError("max_iter must be >= 1")
     cert = certificate(spec, w)
     if not cert.passed:
         raise CertificateError("certificate fails; Picard iteration not contractive")
     check_realization(spec, real)
     kappa = cert.kappa
-    stop = tol * (1.0 - kappa) / kappa if kappa > 0.0 else tol
+    stop = tol * (1.0 - kappa) / kappa
 
     M = real.M
     wz = w.as_array()
     z = spec.blocks.box.midpoint() if start is None else _flat(spec, start)
     steps: list[float] = []
     converged = False
-    k = 0
     for k in range(1, max_iter + 1):
         z_next = block_map(spec, M, z)
         delta = float(wz @ np.abs(z_next - z))
@@ -65,10 +71,7 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
             converged = True
             break
 
-    if kappa > 0.0 and kappa < 1.0 and steps:
-        a_priori = kappa ** k / (1.0 - kappa) * steps[0]
-    else:
-        a_priori = 0.0
+    a_priori = kappa ** k / (1.0 - kappa) * steps[0]
     point = StateVector.split(z, spec.n)
     return Equilibrium(
         point=point,

@@ -61,8 +61,8 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     """
     if steps < 1:
         raise SpecError("steps must be >= 1")
-    if t_end <= 0.0:
-        raise SpecError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise SpecError("t_end must be finite and positive")
     check_realization(spec, real)
     alpha = spec.alpha
     h = t_end / steps
@@ -92,9 +92,8 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
         # predictor: z0 + c_pred * sum_{j<=k} b_{j,k+1} f_j
         pred = z_init + c_pred * (b_w[: k + 1][::-1] @ F[: k + 1])
         a0 = pa1[k] - (k - alpha) * pa[k + 1]
-        inner = a0 * F[0]
-        if k >= 1:
-            inner = inner + a_w[1 : k + 1][::-1] @ F[1 : k + 1]
+        # at k = 0 the slice product over no history is a zero vector
+        inner = a0 * F[0] + a_w[1 : k + 1][::-1] @ F[1 : k + 1]
         z_new = z_init + c_corr * (inner + f(pred))
         if not np.all(np.isfinite(z_new)):
             raise IntegrationError(k + 1)
@@ -110,13 +109,15 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
     """Verify V(t_k) <= (1+slack) V(0) E_alpha(-theta t_k^alpha) on the grid,
     where V is the weighted-l1 distance to the equilibrium point.
 
-    Where the envelope is zero (a start within zero_tol of the equilibrium,
-    or underflow far out in time) 0/0 counts as 0: the point passes with
-    ratio 0 if V <= zero_tol and is a violation with ratio inf otherwise."""
-    if slack < 0.0:
-        raise SpecError("slack must be nonnegative")
-    if theta <= 0.0:
-        raise SpecError("theta must be positive")
+    A point with V <= zero_tol passes with ratio 0. Any other point has ratio
+    V / envelope (inf where the envelope is 0, as after underflow) and is a
+    violation iff V > (1+slack) * envelope."""
+    if not 0.0 <= slack < math.inf:
+        raise SpecError("slack must be finite and nonnegative")
+    if not 0.0 < theta < math.inf:
+        raise SpecError("theta must be finite and positive")
+    if not 0.0 <= zero_tol < math.inf:
+        raise SpecError("zero_tol must be finite and nonnegative")
     eq_arr = eq.point.as_array()
     if eq_arr.size != traj.states.shape[1]:
         raise SpecError("dimension mismatch between trajectory and equilibrium")
@@ -132,10 +133,10 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
             mittag_leffler(traj.alpha, 1.0, -theta * t ** traj.alpha)
             for t in traj.times
         ])
-    live = env > 0.0
-    with np.errstate(over="ignore"):  # a ratio beyond the float range is inf
-        ratio = np.divide(v, env, out=np.where(v > zero_tol, math.inf, 0.0), where=live)
-    bad = np.where(live, v > (1.0 + slack) * env, v > zero_tol)
+    live = v > zero_tol
+    with np.errstate(divide="ignore", over="ignore"):  # V / 0 and overflow give inf
+        ratio = np.divide(v, env, out=np.zeros_like(v), where=live)
+    bad = live & (v > (1.0 + slack) * env)
     violations = int(np.count_nonzero(bad))
     return EnvelopeReport(
         v0=v0, theta=theta,

@@ -57,10 +57,14 @@ def project_implicit(shift: np.ndarray, box: BoxSet, x: np.ndarray,
 
 
 def _flat(spec: SystemSpec, s: StateVector) -> np.ndarray:
-    """The state as one array z = (x, y), once its split is checked against spec."""
+    """The state as one array z = (x, y), once its split is checked against
+    spec and every entry is checked to be finite."""
     if s.x.size != spec.n or s.y.size != spec.m:
         raise SpecError("dimension mismatch: state")
-    return s.as_array()
+    z = s.as_array()
+    if not np.all(np.isfinite(z)):
+        raise SpecError("non-finite value in state")
+    return z
 
 
 def block_map(spec: SystemSpec, M: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Built-in scenarios and JSON spec-file serialization."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -72,7 +73,7 @@ def _example_42() -> SystemSpec:
     )
 
 
-def _traffic_gstm(gains=None) -> SystemSpec:
+def _traffic_gstm() -> SystemSpec:
     # Cost of path i is sum over its arcs of l_m * (total flow on arc m), so
     # the flow-coupling matrix is A[i][j] = sum of l_m over arcs shared by
     # paths i and j; the single cost equation couples back through
@@ -95,25 +96,24 @@ def _traffic_gstm(gains=None) -> SystemSpec:
         shifts=ShiftMap(H=np.zeros((3, 3)), L=np.zeros((1, 1))),
         box1=BoxSet(lo=[0.0, 0.0, 0.0], hi=[10.0, 10.0, 10.0]),
         box2=BoxSet(lo=[0.0], hi=[20.0]),
-        gains=gains,
     )
 
 
 def builtin_scenario(name: str, gains=None) -> SystemSpec:
     """Return one of the shipped scenarios by name.
 
-    gains (per-equation positive multipliers, length n+m) are only honored by
-    traffic-gstm; the two numeric examples are fixed data.
+    gains (per-equation positive multipliers, length n+m) apply to every
+    scenario; None means unit gains.
     """
     if name == "example-4.1":
         spec = _example_41()
     elif name == "example-4.2":
         spec = _example_42()
     elif name == "traffic-gstm":
-        spec = _traffic_gstm(gains)
+        spec = _traffic_gstm()
     else:
         raise SpecError(f"unknown scenario {name!r}")
-    return validate_system(spec)
+    return validate_system(dataclasses.replace(spec, gains=gains))
 
 
 def serialize(spec: SystemSpec, weights: Weights | None = None) -> str:

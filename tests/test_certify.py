@@ -137,6 +137,62 @@ def test_find_weights_infeasible_diagonal():
     assert find_weights(spec) is None
 
 
+def exact_spec(A, rho=1.0, n=None, M_hi=None):
+    """System with interval M = [M_lo, M_hi] (exact when M_hi is None), no
+    shifts; the first n rows and columns form the x block (n = all, m = 0,
+    by default)."""
+    M_lo = np.array(A, dtype=float)
+    M_hi = M_lo if M_hi is None else np.array(M_hi, dtype=float)
+    d = M_lo.shape[0]
+    n = d if n is None else n
+    m = d - n
+    return fpds.validate_system(fpds.SystemSpec(
+        n=n, m=m, alpha=0.8, rho=rho, lam=rho, a=np.zeros(n), b=np.zeros(m),
+        A=fpds.IntervalMatrix(M_lo[:n, :n], M_hi[:n, :n]),
+        Astar=fpds.IntervalMatrix(M_lo[:n, n:], M_hi[:n, n:]),
+        B=fpds.IntervalMatrix(M_lo[n:, n:], M_hi[n:, n:]),
+        Bstar=fpds.IntervalMatrix(M_lo[n:, :n], M_hi[n:, :n]),
+        shifts=fpds.ShiftMap(H=np.zeros((n, n)), L=np.zeros((m, m))),
+        box1=fpds.BoxSet(-np.ones(n), np.ones(n)),
+        box2=fpds.BoxSet(-np.ones(m), np.ones(m)),
+    ))
+
+
+@pytest.mark.parametrize("A,rho", [
+    ([[1.0, 2.0], [2.0, 1.0]], 1.0),      # d > 0, rho(D^-1 C) = 2: w = (-1, -1)
+    ([[1.0, 1.0], [1.0, 1.0]], 1.0),      # D - C exactly singular
+    ([[1e308, 1e308], [1e308, 1e308]], 10.0),  # finite spec, coupling overflows
+    ([[1e-310]], 1.0),                    # positive solve that overflows to inf
+])
+def test_find_weights_infeasible_returns_none(A, rho):
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = exact_spec(A, rho)
+        assert find_weights(spec) is None
+
+
+def test_find_weights_agrees_with_spectral_oracle():
+    # whenever weights come back, d > 0 and rho(D^-1 C) < 1 by an eigenvalue
+    # computation, and the certificate passes
+    rng = np.random.default_rng(2026)
+    found = 0
+    for _ in range(200):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        size = n + m
+        M_lo = rng.normal(scale=10 ** rng.uniform(-1.5, 0.0), size=(size, size))
+        M_lo[np.diag_indices(size)] = rng.uniform(-0.3, 1.5, size=size)
+        M_hi = M_lo + 0.1 * rng.random((size, size))
+        spec = exact_spec(M_lo, rho=rng.uniform(0.2, 0.9), n=n, M_hi=M_hi)
+        w = find_weights(spec)
+        if w is None:
+            continue
+        found += 1
+        d, C = comparison_system(spec)
+        assert np.all(d > 0.0)
+        assert np.max(np.abs(np.linalg.eigvals(C / d[:, None]))) < 1.0
+        assert certificate(spec, w).passed
+    assert 20 <= found <= 180   # both verdicts occur
+
+
 def test_zero_shift_reduces_to_unshifted_expressions(ex41, w41):
     # with H = L = 0, xi/zeta must reduce to the unshifted expressions
     spec = fpds.validate_system(fpds.SystemSpec(

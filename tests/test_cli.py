@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import fpds
@@ -43,6 +44,35 @@ def test_certify_infeasible_spec(tmp_path):
     code, text = capture(["certify", str(path)])
     assert code == EXIT_FAIL
     assert "none found" in text
+
+
+def test_certify_overflowing_spec_finds_no_weights(tmp_path):
+    # every entry is finite, but rho * A overflows the float range
+    spec = fpds.builtin_scenario("example-4.2")
+    doc = json.loads(fpds.serialize(spec))
+    doc["rho"] = 10.0
+    doc["intervals"]["A"] = {"lower": [[1e308] * 2] * 2, "upper": [[1e308] * 2] * 2}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, text = capture(["certify", str(path)])
+    assert code == EXIT_FAIL
+    assert "weights: none found" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "example-4.2", "--weights", "2,1", "--x0", "5.8,-4.2",
+     "--slack", "nan"],
+    ["equilibrium", "example-4.2", "--weights", "2,1", "--tol", "inf"],
+    ["equilibrium", "example-4.2", "--weights", "2,1", "--tol", "nan"],
+    ["envelope", "example-4.2", "--weights", "2,1", "--x0", "nan,1"],
+    ["simulate", "example-4.2", "--t-end", "nan"],
+    ["equilibrium", "example-4.2", "--weights", "2,1", "--max-iter", "0"],
+])
+def test_bad_numeric_option_is_input_error(argv):
+    code, text = capture(argv)
+    assert code == EXIT_INPUT
+    assert text.startswith("error:")
 
 
 def test_unknown_command_is_usage_error():

@@ -135,3 +135,22 @@ def test_max_iter_reports_unconverged(ex42, w42):
     real = fpds.sample_realization(ex42, "lower")
     eq = picard_solve(ex42, real, w42, tol=1e-12, max_iter=2)
     assert not eq.converged and eq.iterations == 2
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"), ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-10}, "tol"), ({"max_iter": 0}, "max_iter"),
+])
+def test_solver_argument_validation(ex42, w42, kwargs, match):
+    real = fpds.sample_realization(ex42, "lower")
+    with pytest.raises(fpds.SpecError, match=match):
+        picard_solve(ex42, real, w42, **kwargs)
+
+
+def test_single_iteration_bound(ex42, w42):
+    # max_iter = 1: one Picard step, a priori bound kappa / (1 - kappa) * step
+    real = fpds.sample_realization(ex42, "lower")
+    kappa = fpds.certificate(ex42, w42).kappa
+    eq = picard_solve(ex42, real, w42, tol=1e-12, max_iter=1)
+    assert eq.iterations == 1 and eq.step_norms.size == 1
+    assert eq.a_priori_bound == kappa / (1.0 - kappa) * eq.step_norms[0]

@@ -155,10 +155,11 @@ def test_envelope_underflow_counts_zero_over_zero_as_zero():
 
 def test_envelope_ratio_beyond_float_range_is_inf():
     # at t = 2 the envelope exp(-368 t) is subnormal and V / env overflows
+    # (V = 1e-8 stays above zero_tol, so the point is checked)
     real = fpds.Realization(A=[[1.0]], Astar=np.zeros((1, 0)),
                             B=np.zeros((0, 0)), Bstar=np.zeros((0, 1)))
     traj = fpds.Trajectory(times=np.array([0.0, 1.0, 2.0]),
-                           states=np.array([[1.0], [0.5], [1e-10]]), alpha=1.0,
+                           states=np.array([[1.0], [0.5], [1e-8]]), alpha=1.0,
                            realization=real, n=1)
     eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
                           residual=0.0, a_priori_bound=0.0, converged=True,
@@ -169,6 +170,45 @@ def test_envelope_ratio_beyond_float_range_is_inf():
     assert report.violations == 2
     assert report.max_ratio == math.inf
     assert not report.passed
+
+
+def test_envelope_zero_tol_applies_where_envelope_is_tiny():
+    # alpha = 1, V = v0 exp(-theta t) + 1e-12: far out the envelope is tiny
+    # but nonzero, and V, at the level of an equilibrium error, is below
+    # zero_tol there, so those points pass
+    theta, v0 = 1.0, 1.0
+    times = np.linspace(0.0, 740.0, 741)
+    states = np.array([[v0 * math.exp(-theta * t) + 1e-12] for t in times])
+    real = fpds.Realization(A=[[1.0]], Astar=np.zeros((1, 0)),
+                            B=np.zeros((0, 0)), Bstar=np.zeros((0, 1)))
+    traj = fpds.Trajectory(times=times, states=states, alpha=1.0,
+                           realization=real, n=1)
+    eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
+                          residual=0.0, a_priori_bound=0.0, converged=True,
+                          step_norms=np.zeros(1))
+    assert 0.0 < mittag_leffler(1.0, 1.0, -theta * times[-1]) < 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = envelope_check(traj, eq, Weights(mu=[1.0], tau=[]), theta)
+    assert report.passed
+    assert report.violations == 0
+    # where V > zero_tol the offset adds at most 1e-12 / 1e-9 to the ratio
+    assert 1.0 <= report.max_ratio <= 1.001
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"slack": math.nan}, "slack"), ({"slack": math.inf}, "slack"),
+    ({"slack": -0.1}, "slack"), ({"theta": math.nan}, "theta"),
+    ({"theta": math.inf}, "theta"), ({"theta": 0.0}, "theta"),
+    ({"zero_tol": math.nan}, "zero_tol"), ({"zero_tol": -1e-9}, "zero_tol"),
+])
+def test_envelope_argument_validation(ex42, w42, kwargs, match):
+    real = fpds.sample_realization(ex42, "lower")
+    eq = picard_solve(ex42, real, w42)
+    traj = integrate(ex42, real, StateVector(x=[5.8, -4.2], y=[]), 1.0, 10)
+    args = {"theta": 0.05, **kwargs}
+    with pytest.raises(fpds.SpecError, match=match):
+        envelope_check(traj, eq, w42, **args)
 
 
 def test_two_starts_approach_each_other(ex42, w42):
@@ -185,8 +225,9 @@ def test_argument_validation(ex42):
     z0 = StateVector(x=[1.0, 1.0], y=[])
     with pytest.raises(fpds.SpecError, match="steps"):
         integrate(ex42, real, z0, 1.0, 0)
-    with pytest.raises(fpds.SpecError, match="t_end"):
-        integrate(ex42, real, z0, -1.0, 10)
+    for t_end in (-1.0, math.nan, math.inf):
+        with pytest.raises(fpds.SpecError, match="t_end"):
+            integrate(ex42, real, z0, t_end, 10)
 
 
 def test_non_finite_state_raises():

@@ -188,6 +188,22 @@ def test_mis_split_state_rejected(ex41, w41):
             call()
 
 
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_non_finite_state_rejected(ex41, w41, bad_value):
+    real = fpds.sample_realization(ex41, "lower")
+    bad = StateVector(x=[3.5, bad_value, 1.0], y=[2.0, -1.5])
+    calls = [
+        lambda: fpds.picard_map(ex41, real, bad),
+        lambda: fpds.rhs(ex41, real, bad),
+        lambda: fpds.residual(ex41, real, w41, bad),
+        lambda: fpds.picard_solve(ex41, real, w41, start=bad),
+        lambda: fpds.integrate(ex41, real, bad, 1.0, 10),
+    ]
+    for call in calls:
+        with pytest.raises(fpds.SpecError, match="non-finite value in state"):
+            call()
+
+
 def test_mis_split_weights_rejected(ex41, w41):
     real = fpds.sample_realization(ex41, "lower")
     s = StateVector(x=ex41.box1.midpoint(), y=ex41.box2.midpoint())

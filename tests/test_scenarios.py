@@ -37,6 +37,16 @@ def test_traffic_gains_accepted():
         builtin_scenario("traffic-gstm", gains=[1.0, -2.0, 1.0, 0.5])
 
 
+def test_gains_honoured_on_numeric_examples():
+    spec = builtin_scenario("example-4.1", gains=[1.0, 2.0, 1.0, 0.5, 3.0])
+    np.testing.assert_array_equal(spec.gains, [1.0, 2.0, 1.0, 0.5, 3.0])
+    np.testing.assert_array_equal(builtin_scenario("example-4.2", gains=[2.0, 0.5]).gains,
+                                  [2.0, 0.5])
+    np.testing.assert_array_equal(builtin_scenario("example-4.1").gains, np.ones(5))
+    with pytest.raises(SpecError, match="dimension mismatch"):
+        builtin_scenario("example-4.1", gains=[1.0, 2.0])
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_round_trip_is_field_exact(name):
     spec = builtin_scenario(name)
