@@ -14,17 +14,20 @@ import numpy as np
 
 from .certify import Weights
 from .equilibrium import Equilibrium
-from .mlf import mittag_leffler
+from .mlf import ml_envelope
 from .model import Realization, SpecError, SystemSpec, check_realization
 from .projection import StateVector, _flat, block_map
 
 
 class IntegrationError(RuntimeError):
-    """A non-finite state was produced; carries the offending step index."""
+    """A non-finite state was produced; carries the offending step index and
+    the step size h."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at step {step}")
+    def __init__(self, step: int, h: float):
+        super().__init__(f"non-finite state at step {step} (step size h = {h:.6g}): "
+                         "the explicit predictor may be unstable at this h; raise steps")
         self.step = step
+        self.h = h
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
         inner = a0 * F[0] + a_w[1 : k + 1][::-1] @ F[1 : k + 1]
         z_new = z_init + c_corr * (inner + f(pred))
         if not np.all(np.isfinite(z_new)):
-            raise IntegrationError(k + 1)
+            raise IntegrationError(k + 1, h)
         Z[k + 1] = z_new
         F[k + 1] = f(z_new)
 
@@ -129,10 +132,7 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
     if v0 <= zero_tol:
         env = np.zeros_like(v)
     else:
-        env = v0 * np.array([
-            mittag_leffler(traj.alpha, 1.0, -theta * t ** traj.alpha)
-            for t in traj.times
-        ])
+        env = ml_envelope(traj.alpha, theta, v0, traj.times)
     live = v > zero_tol
     with np.errstate(divide="ignore", over="ignore"):  # V / 0 and overflow give inf
         ratio = np.divide(v, env, out=np.zeros_like(v), where=live)

@@ -220,7 +220,9 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
     """Check every structural invariant; returns the spec unchanged on success.
 
     Raises SpecError naming the first violated constraint. Every number must
-    be finite, box bounds included (the default start is the box midpoint).
+    be finite, box bounds included (the default start is the box midpoint),
+    and so must the scaled blocks r M_lo, r M_hi and the coupling T of
+    `SystemSpec.blocks`, which this builds.
     Validation is idempotent; m = 0 systems (no y block) are accepted.
     """
     n, m = spec.n, spec.m
@@ -255,6 +257,14 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
         )
     if np.any(spec.gains <= 0.0):
         raise SpecError("nonpositive gain")
+    # finite entries can still overflow once scaled by rho or lambda. T is
+    # finite only where r M_lo and r M_hi are (S is finite), except on its
+    # zeroed diagonal, which is checked apart
+    with np.errstate(over="ignore"):
+        blk = spec.blocks
+        diag = (blk.r * np.diag(blk.M_lo), blk.r * np.diag(blk.M_hi))
+    if not (np.all(np.isfinite(blk.T)) and np.all(np.isfinite(diag))):
+        raise SpecError("non-finite value in scaled coupling")
     return spec
 
 

@@ -199,13 +199,16 @@ def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | No
             raise
         raise SpecError(f"parse error: {exc}") from exc
 
-    validate_system(spec)
     weights = None
     if "weights" in doc:
         wdoc = doc["weights"]
         weights = Weights(mu=wdoc["mu"], tau=wdoc["tau"])
         if weights.mu.size != n or weights.tau.size != m:
             raise SpecError("parse error: weights length mismatch")
+    # validation builds spec.blocks; release the document and its parse first
+    # so that they and the blocks are never held at once
+    del document, doc, intervals, shifts, boxes
+    validate_system(spec)
     return spec, weights
 
 

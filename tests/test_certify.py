@@ -161,7 +161,6 @@ def exact_spec(A, rho=1.0, n=None, M_hi=None):
 @pytest.mark.parametrize("A,rho", [
     ([[1.0, 2.0], [2.0, 1.0]], 1.0),      # d > 0, rho(D^-1 C) = 2: w = (-1, -1)
     ([[1.0, 1.0], [1.0, 1.0]], 1.0),      # D - C exactly singular
-    ([[1e308, 1e308], [1e308, 1e308]], 10.0),  # finite spec, coupling overflows
     ([[1e-310]], 1.0),                    # positive solve that overflows to inf
 ])
 def test_find_weights_infeasible_returns_none(A, rho):

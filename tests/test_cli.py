@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,7 +47,12 @@ def test_certify_infeasible_spec(tmp_path):
     assert "none found" in text
 
 
-def test_certify_overflowing_spec_finds_no_weights(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["certify", "{path}"],
+    ["certify", "{path}", "--weights", "2,1"],
+    ["equilibrium", "{path}", "--weights", "2,1"],
+])
+def test_overflowing_spec_is_input_error(tmp_path, argv):
     # every entry is finite, but rho * A overflows the float range
     spec = fpds.builtin_scenario("example-4.2")
     doc = json.loads(fpds.serialize(spec))
@@ -54,10 +60,11 @@ def test_certify_overflowing_spec_finds_no_weights(tmp_path):
     doc["intervals"]["A"] = {"lower": [[1e308] * 2] * 2, "upper": [[1e308] * 2] * 2}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, text = capture(["certify", str(path)])
-    assert code == EXIT_FAIL
-    assert "weights: none found" in text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow warning escapes
+        code, text = capture([a.format(path=path) for a in argv])
+    assert code == EXIT_INPUT
+    assert "non-finite value in scaled coupling" in text
 
 
 @pytest.mark.parametrize("argv", [

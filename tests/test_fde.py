@@ -54,6 +54,19 @@ def test_halving_step_reduces_error(alpha):
     assert errs[2] < errs[1] < errs[0]
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 0.9, 1.0])
+def test_observed_convergence_order(alpha):
+    # the fractional Adams PECE error at a fixed time is O(h^min(2, 1 + alpha))
+    # for this smooth problem (Diethelm, Ford & Freed 2004)
+    exact = mittag_leffler(alpha, 1.0, -1.0)
+    spec = make_scalar_decay_spec(alpha)
+    real = fpds.sample_realization(spec, "lower")
+    errs = [abs(integrate(spec, real, StateVector(x=[1.0], y=[]), 1.0, steps).states[-1, 0]
+                - exact) for steps in (500, 1000, 2000)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert math.log2(coarse / fine) == pytest.approx(min(2.0, 1.0 + alpha), abs=0.1)
+
+
 def test_single_step_matches_heun_at_alpha_one():
     # one fresh-memory step at alpha = 1 is exactly the Euler/trapezoid pair
     spec = make_scalar_decay_spec(1.0)
@@ -244,6 +257,7 @@ def test_non_finite_state_raises():
     ))
     real = fpds.sample_realization(spec, "lower")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(fpds.IntegrationError) as exc:
+        with pytest.raises(fpds.IntegrationError, match=r"h = 0\.5\b.*raise steps") as exc:
             integrate(spec, real, StateVector(x=[1.0], y=[]), 100.0, 200)
     assert exc.value.step >= 1
+    assert exc.value.h == 0.5

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -136,3 +137,18 @@ def _poisoned(spec, field, bad):
 def test_non_finite_field_rejected(ex41, field, bad):
     with pytest.raises(SpecError, match=re.escape(f"non-finite value in {field}")):
         fpds.validate_system(_poisoned(ex41, field, bad))
+
+
+@pytest.mark.parametrize("rho,A,H", [
+    (10.0, [[1e308, 1e308], [1e308, 1e308]], [[0.0, 0.0], [0.0, 0.0]]),  # rho * A
+    (1.0, [[0.5, 1e308], [0.0, 0.5]], [[0.0, 1e308], [0.0, 0.0]]),      # T[0, 1]
+    (10.0, [[1e308, 0.0], [0.0, 0.5]], [[0.0, 0.0], [0.0, 0.0]]),       # diagonal only
+])
+def test_overflowing_scaled_coupling_rejected(ex42, rho, A, H):
+    # every entry is finite; the scaled blocks or the coupling T overflow
+    spec = dataclasses.replace(ex42, rho=rho, A=IntervalMatrix(A, A),
+                               shifts=fpds.ShiftMap(H=H, L=np.zeros((0, 0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow warning escapes
+        with pytest.raises(SpecError, match="non-finite value in scaled coupling"):
+            fpds.validate_system(spec)
