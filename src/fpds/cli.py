@@ -157,11 +157,11 @@ def _run_envelope(spec: SystemSpec, real: Realization, w: Weights, z0: StateVect
 
 def _cmd_envelope(args, out) -> int:
     spec = _load_scenario(args.scenario)
+    z0 = _initial_state(spec, args.x0, args.y0)
     w = _resolve_weights(spec, args.weights, out)
     if w is None:
         return EXIT_FAIL
     real = sample_realization(spec, args.selector, seed=args.seed)
-    z0 = _initial_state(spec, args.x0, args.y0)
     report = _run_envelope(spec, real, w, z0, args)
     print(f"v0:         {_fmt(report.v0)}", file=out)
     print(f"theta:      {_fmt(report.theta)}", file=out)
@@ -172,13 +172,13 @@ def _cmd_envelope(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    if args.samples < 2:
+        raise UsageError("--samples must be >= 2 (the two interval vertices)")
     spec = _load_scenario(args.scenario)
+    z0 = _initial_state(spec, args.x0, args.y0)
     w = _resolve_weights(spec, args.weights, out)
     if w is None:
         return EXIT_FAIL
-    z0 = _initial_state(spec, args.x0, args.y0)
-    if args.samples < 2:
-        raise UsageError("--samples must be >= 2 (the two interval vertices)")
     reals = [sample_realization(spec, "lower"), sample_realization(spec, "upper")]
     reals += [sample_realization(spec, "random", seed=args.seed + i)
               for i in range(args.samples - 2)]
@@ -271,3 +271,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

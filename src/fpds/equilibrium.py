@@ -8,7 +8,7 @@ import numpy as np
 
 from .certify import Weights, certificate, weighted_norm
 from .model import Realization, SpecError, SystemSpec, check_realization
-from .projection import StateVector, _flat, block_map
+from .projection import PicardMap, StateVector, _flat
 
 
 class CertificateError(RuntimeError):
@@ -29,8 +29,11 @@ def residual(spec: SystemSpec, real: Realization, w: Weights,
              s: StateVector) -> float:
     """Weighted-l1 deviation from the fixed-point relations; zero only at the
     equilibrium of the given realization."""
-    z = _flat(spec, s)
-    return weighted_norm(w, StateVector.split(block_map(spec, real.M, z) - z, spec.n))
+    return _residual(PicardMap(spec, real.M), w, _flat(spec, s), spec.n)
+
+
+def _residual(P: PicardMap, w: Weights, z: np.ndarray, n: int) -> float:
+    return weighted_norm(w, StateVector.split(P(z) - z, n))
 
 
 def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
@@ -57,13 +60,13 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     kappa = cert.kappa
     stop = tol * (1.0 - kappa) / kappa
 
-    M = real.M
+    P = PicardMap(spec, real.M)
     wz = w.as_array()
     z = spec.blocks.box.midpoint() if start is None else _flat(spec, start)
     steps: list[float] = []
     converged = False
     for k in range(1, max_iter + 1):
-        z_next = block_map(spec, M, z)
+        z_next = P(z)
         delta = float(wz @ np.abs(z_next - z))
         steps.append(delta)
         z = z_next
@@ -76,7 +79,7 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     return Equilibrium(
         point=point,
         iterations=k,
-        residual=residual(spec, real, w, point),
+        residual=_residual(P, w, z, spec.n),
         a_priori_bound=a_priori,
         converged=converged,
         step_norms=np.array(steps),

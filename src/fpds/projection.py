@@ -32,12 +32,19 @@ class StateVector:
         return StateVector(x=arr[:n], y=arr[n:])
 
 
+def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(max(v, lo), hi) componentwise, into a new array: the one clamp
+    that project_box, project_implicit and PicardMap run."""
+    out = np.maximum(v, lo)
+    return np.minimum(out, hi, out=out)
+
+
 def project_box(box: BoxSet, v: np.ndarray) -> np.ndarray:
     """Clamp v into the box componentwise (the Euclidean projection)."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != len(box):
         raise SpecError(f"length mismatch: vector of length {v.shape[-1]} vs box of {len(box)}")
-    return np.minimum(np.maximum(v, box.lo), box.hi)
+    return _clamp(v, box.lo, box.hi)
 
 
 def project_implicit(shift: np.ndarray, box: BoxSet, x: np.ndarray,
@@ -67,11 +74,40 @@ def _flat(spec: SystemSpec, s: StateVector) -> np.ndarray:
     return z
 
 
-def block_map(spec: SystemSpec, M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The Picard map on the flat state z for block matrix M (see BlockForm):
-    the projection of z - r (M z + c) onto the shifted box S z + K."""
-    blk = spec.blocks
-    return project_implicit(blk.S, blk.box, z, z - blk.r * (M @ z + blk.c))
+class PicardMap:
+    """The Picard map of one realization on the flat state z, built once:
+    P(z) = S z + clamp(z - r (M z + c) - S z, K), the projection of
+    z - r (M z + c) onto the shifted box S z + K (see SystemSpec.blocks).
+
+    The operator is stored stacked as G = [S; I - r M - S] together with r c,
+    so one evaluation is one product G z and one clamp. Calls make no checks:
+    callers validate the state and the realization once, at their entry.
+    """
+
+    __slots__ = ("G", "rc", "lo", "hi", "gains", "d")
+
+    def __init__(self, spec: SystemSpec, M: np.ndarray):
+        blk = spec.blocks
+        d = blk.r.size
+        self.G = np.empty((2 * d, d))
+        self.G[:d] = blk.S
+        lower = self.G[d:]           # (I - r M) - S, built in place
+        np.multiply(-blk.r[:, None], M, out=lower)
+        lower.flat[:: d + 1] += 1.0
+        lower -= blk.S
+        self.rc = blk.r * blk.c
+        self.lo, self.hi = blk.box.lo, blk.box.hi
+        self.gains = spec.gains
+        self.d = d
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        g = self.G @ z
+        d = self.d
+        return g[:d] + _clamp(g[d:] - self.rc, self.lo, self.hi)
+
+    def rhs(self, z: np.ndarray) -> np.ndarray:
+        """The dynamics' right-hand side gains * (P(z) - z)."""
+        return self.gains * (self(z) - z)
 
 
 def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
@@ -80,11 +116,10 @@ def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVect
     form of SystemSpec.blocks. Gains are not applied here (positive gains do
     not move the fixed point).
     """
-    return StateVector.split(block_map(spec, real.M, _flat(spec, s)), spec.n)
+    return StateVector.split(PicardMap(spec, real.M)(_flat(spec, s)), spec.n)
 
 
 def rhs(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
     """Right-hand side of the projected dynamics, per-equation gains applied."""
     check_realization(spec, real)
-    z = _flat(spec, s)
-    return StateVector.split(spec.gains * (block_map(spec, real.M, z) - z), spec.n)
+    return StateVector.split(PicardMap(spec, real.M).rhs(_flat(spec, s)), spec.n)

@@ -1,13 +1,17 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fpds
-from fpds.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_USAGE, run
+from fpds.cli import EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
 
 
 def capture(argv):
@@ -194,3 +198,48 @@ def test_seed_env_default(monkeypatch):
     monkeypatch.setenv("FPDS_SEED", "5")
     _, c = capture(cmd)
     assert a == c
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "example-4.1", "--samples", "1"],
+     "--samples must be >= 2 (the two interval vertices)"),
+    (["sweep", "example-4.1", "--x0", "1,2"], "initial state length mismatch"),
+    (["envelope", "example-4.1", "--y0", "1"], "initial state length mismatch"),
+])
+def test_usage_checked_before_weights_are_found(argv, message):
+    # only the usage error is printed, not the "weights: auto" line
+    code, text = capture(argv)
+    assert code == EXIT_USAGE
+    assert text == f"usage error: {message}\n"
+
+
+def test_unstable_step_is_numeric_error_without_warnings():
+    # h = 5 makes the explicit predictor blow up on example-4.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow warning escapes
+        code, text = capture(["simulate", "example-4.2", "--t-end", "5000",
+                              "--steps", "1000"])
+        spec = fpds.builtin_scenario("example-4.2")
+        z0 = fpds.StateVector(x=spec.box1.midpoint(), y=spec.box2.midpoint())
+        with pytest.raises(fpds.IntegrationError) as exc:
+            fpds.integrate(spec, fpds.sample_realization(spec, "lower"), z0, 5000.0, 1000)
+    assert code == EXIT_NUMERIC
+    assert text == f"numerical failure: {exc.value}\n"
+    assert exc.value.h == 5.0
+    assert exc.value.step == 299
+
+
+@pytest.mark.parametrize("module", ["fpds", "fpds.cli"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "example-4.2", "--weights", "2,1"],
+    ["sweep", "example-4.2", "--samples", "1"],
+])
+def test_python_dash_m_runs_the_cli(module, argv):
+    src = str(Path(fpds.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, text = capture(argv)
+    assert (proc.returncode, proc.stdout) == (code, text)
+    assert proc.stderr == ""

@@ -261,3 +261,77 @@ def test_non_finite_state_raises():
             integrate(spec, real, StateVector(x=[1.0], y=[]), 100.0, 200)
     assert exc.value.step >= 1
     assert exc.value.h == 0.5
+
+
+ORACLE_CASES = [("example-4.1", None), ("example-4.2", None),
+                ("traffic-gstm", [1.0, 1.0, 2.0, 1.0])]
+
+
+def _reference_rhs(spec, real):
+    """gains * (P(z) - z) with the Picard map written out through the public
+    project_implicit, one product at a time."""
+    blk = spec.blocks
+    M = real.M
+
+    def f(z):
+        v = z - blk.r * (M @ z + blk.c)
+        return spec.gains * (fpds.project_implicit(blk.S, blk.box, z, v) - z)
+    return f
+
+
+def _reference_abm(spec, real, z0, t_end, steps):
+    """The fractional Adams-Bashforth-Moulton PECE loop, term by term: every
+    weight from its formula and each history sum on its own."""
+    f = _reference_rhs(spec, real)
+    alpha = spec.alpha
+    h = t_end / steps
+    c_pred = h ** alpha / math.gamma(alpha + 1.0)
+    c_corr = h ** alpha / math.gamma(alpha + 2.0)
+    Z = [z0]
+    F = [f(z0)]
+    for k in range(steps):
+        pred = z0 + c_pred * sum(((k + 1 - j) ** alpha - (k - j) ** alpha) * F[j]
+                                 for j in range(k + 1))
+        corr = (k ** (alpha + 1) - (k - alpha) * (k + 1) ** alpha) * F[0]
+        for j in range(1, k + 1):
+            corr = corr + ((k - j + 2) ** (alpha + 1) + (k - j) ** (alpha + 1)
+                           - 2 * (k - j + 1) ** (alpha + 1)) * F[j]
+        Z.append(z0 + c_corr * (corr + f(pred)))
+        F.append(f(Z[-1]))
+    return np.array(Z)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 50])
+@pytest.mark.parametrize("selector", ["lower", "upper", "random"])
+@pytest.mark.parametrize("scenario,gains", ORACLE_CASES)
+def test_integrate_matches_reference_abm(scenario, gains, selector, steps):
+    # steps 1 to 3 cover the empty and one-term history sums
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    real = fpds.sample_realization(spec, selector, seed=5)
+    # off the box midpoint, so that some rows clamp and some do not
+    z0 = np.concatenate([spec.box1.midpoint() + 1.5, spec.box2.midpoint() - 0.5])
+    traj = integrate(spec, real, StateVector.split(z0, spec.n), 2.0, steps)
+    ref = _reference_abm(spec, real, z0, 2.0, steps)
+    assert traj.states.shape == ref.shape
+    np.testing.assert_allclose(traj.states, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("selector", ["lower", "upper", "random"])
+@pytest.mark.parametrize("scenario,gains", ORACLE_CASES)
+def test_picard_map_and_rhs_match_project_implicit(scenario, gains, selector):
+    # relative to the larger of |z| and |P(z)|: where the shifted clamp makes
+    # P(z) much smaller than z, both sides round at the scale of z
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    real = fpds.sample_realization(spec, selector, seed=5)
+    blk = spec.blocks
+    f = _reference_rhs(spec, real)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        z = blk.box.midpoint() + rng.normal(scale=3.0, size=blk.r.size)
+        s = StateVector.split(z, spec.n)
+        p_ref = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real.M @ z + blk.c))
+        scale = max(np.abs(z).max(), np.abs(p_ref).max())
+        p_got = fpds.picard_map(spec, real, s).as_array()
+        assert np.abs(p_got - p_ref).max() <= 1e-15 * scale
+        r_got = fpds.rhs(spec, real, s).as_array()
+        assert np.abs(r_got - f(z)).max() <= 1e-15 * scale * spec.gains.max()
