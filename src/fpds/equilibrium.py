@@ -29,6 +29,7 @@ def residual(spec: SystemSpec, real: Realization, w: Weights,
              s: StateVector) -> float:
     """Weighted-l1 deviation from the fixed-point relations; zero only at the
     equilibrium of the given realization."""
+    check_realization(spec, real)
     return _residual(PicardMap(spec, real.M), w, _flat(spec, s), spec.n)
 
 

@@ -40,7 +40,6 @@ class Trajectory:
     times: np.ndarray           # uniform grid, times[0] = 0
     states: np.ndarray          # (steps+1, n+m), states[0] = initial condition
     alpha: float
-    realization: Realization
     n: int
 
     def state(self, k: int) -> StateVector:
@@ -118,7 +117,7 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
             F[k + 1] = f(z_new)
 
     times = h * np.arange(steps + 1)
-    return Trajectory(times=times, states=Z, alpha=alpha, realization=real, n=spec.n)
+    return Trajectory(times=times, states=Z, alpha=alpha, n=spec.n)
 
 
 def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,

@@ -12,8 +12,10 @@ class SpecError(ValueError):
     """A structural constraint of the problem data is violated."""
 
 
-# the interval blocks of M = [[A, A*], [B*, B]], in spec-file and sampling order
-BLOCKS = ("A", "Astar", "B", "Bstar")
+# the interval blocks of M = [[A, A*], [B*, B]] in spec-file and sampling
+# order, each with its block row and column: 0 is the x part (size n), 1 the
+# y part (size m), so block (name, r, c) has shape ((n, m)[r], (n, m)[c])
+BLOCKS = (("A", 0, 0), ("Astar", 0, 1), ("B", 1, 1), ("Bstar", 1, 0))
 
 
 def _matrix(a) -> np.ndarray:
@@ -50,12 +52,6 @@ class IntervalMatrix:
     @property
     def cols(self) -> int:
         return self.lower.shape[1]
-
-    def contains(self, mat: np.ndarray) -> bool:
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != self.lower.shape:
-            return False
-        return bool(np.all(mat >= self.lower) and np.all(mat <= self.upper))
 
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -141,9 +137,9 @@ class SystemSpec:
         """The spec as one projected system in z = (x, y), built once."""
         n, m = self.n, self.m
         r = np.concatenate([np.full(n, self.rho), np.full(m, self.lam)])
-        S = _block(self.shifts.H, np.zeros((n, m)), self.shifts.L, np.zeros((m, n)))
-        M_lo = _block(self.A.lower, self.Astar.lower, self.B.lower, self.Bstar.lower)
-        M_hi = _block(self.A.upper, self.Astar.upper, self.B.upper, self.Bstar.upper)
+        S = _assemble(n, m, (self.shifts.H, 0.0, self.shifts.L, 0.0))  # blockdiag(H, L)
+        M_lo = _assemble(n, m, [getattr(self, name).lower for name, _, _ in BLOCKS])
+        M_hi = _assemble(n, m, [getattr(self, name).upper for name, _, _ in BLOCKS])
         T = np.abs(S) + np.maximum(np.abs(r[:, None] * M_lo + S),
                                    np.abs(r[:, None] * M_hi + S))
         np.fill_diagonal(T, 0.0)
@@ -155,106 +151,78 @@ class SystemSpec:
         return BlockForm(r=r, c=c, S=S, box=box, M_lo=M_lo, M_hi=M_hi, T=T)
 
 
+def _assemble(n: int, m: int, parts) -> np.ndarray:
+    """An (n+m) x (n+m) matrix with parts, in BLOCKS order, at their blocks."""
+    span = (slice(0, n), slice(n, n + m))
+    out = np.empty((n + m, n + m))
+    for (_, r, c), part in zip(BLOCKS, parts):
+        out[span[r], span[c]] = part
+    return out
+
+
 @dataclass(frozen=True)
 class Realization:
-    """One concrete member (A, A*, B, B*) of the interval family."""
+    """One member of the interval family: its block matrix M = [[A, A*], [B*, B]]
+    on z = (x, y), read-only. A block is a slice of M, e.g. A = M[:n, :n]."""
 
-    A: np.ndarray
-    Astar: np.ndarray
-    B: np.ndarray
-    Bstar: np.ndarray
+    M: np.ndarray
 
     def __post_init__(self):
-        for name in BLOCKS:
-            object.__setattr__(self, name, _matrix(getattr(self, name)))
-
-    @cached_property
-    def M(self) -> np.ndarray:
-        """The block matrix [[A, A*], [B*, B]] acting on z = (x, y)."""
-        out = _block(self.A, self.Astar, self.B, self.Bstar)
-        out.setflags(write=False)
-        return out
+        object.__setattr__(self, "M", _matrix(self.M))
 
 
-def _block(A, Astar, B, Bstar) -> np.ndarray:
-    return np.block([[A, Astar], [Bstar, B]])
-
-
-def _check_interval(name: str, im: IntervalMatrix, rows: int, cols: int) -> None:
-    if im.lower.shape != im.upper.shape:
-        raise SpecError(f"dimension mismatch: {name} lower/upper shapes differ")
-    if im.lower.shape != (rows, cols):
-        raise SpecError(
-            f"dimension mismatch: {name} is {im.lower.shape}, expected {(rows, cols)}"
-        )
-    if np.any(im.lower > im.upper):
-        i, j = np.argwhere(im.lower > im.upper)[0]
-        raise SpecError(f"interval bound order: {name}[{i},{j}] has lower > upper")
-
-
-def _check_box(name: str, box: BoxSet, size: int) -> None:
-    if box.lo.size != box.hi.size:
-        raise SpecError(f"dimension mismatch: {name} lo/hi lengths differ")
-    if box.lo.size != size:
-        raise SpecError(f"dimension mismatch: {name} has length {box.lo.size}, expected {size}")
-    if np.any(box.lo > box.hi):
-        i = int(np.argwhere(box.lo > box.hi)[0, 0])
-        raise SpecError(f"box bound order: {name}[{i}] has lo > hi")
-
-
-def _check_finite(spec: SystemSpec) -> None:
-    fields = {"alpha": spec.alpha, "rho": spec.rho, "lambda": spec.lam, "a": spec.a,
-              "b": spec.b, "H": spec.shifts.H, "L": spec.shifts.L, "gains": spec.gains}
-    for name in BLOCKS:
+def _fields(spec: SystemSpec) -> list:
+    """Every number of the spec as (field name, value, expected shape)."""
+    n, m = spec.n, spec.m
+    dims = (n, m)
+    out = [("alpha", spec.alpha, ()), ("rho", spec.rho, ()), ("lambda", spec.lam, ()),
+           ("a", spec.a, (n,)), ("b", spec.b, (m,))]
+    for name, r, c in BLOCKS:
         im = getattr(spec, name)
-        fields.update({f"{name}.lower": im.lower, f"{name}.upper": im.upper})
-    for name in ("box1", "box2"):
-        box = getattr(spec, name)
-        fields.update({f"{name}.lo": box.lo, f"{name}.hi": box.hi})
-    for name, value in fields.items():
-        if not np.all(np.isfinite(value)):
-            raise SpecError(f"non-finite value in {name}")
+        shape = (dims[r], dims[c])
+        out += [(f"{name}.lower", im.lower, shape), (f"{name}.upper", im.upper, shape)]
+    out += [("H", spec.shifts.H, (n, n)), ("L", spec.shifts.L, (m, m))]
+    for name, box, size in (("box1", spec.box1, n), ("box2", spec.box2, m)):
+        out += [(f"{name}.lo", box.lo, (size,)), (f"{name}.hi", box.hi, (size,))]
+    return out + [("gains", spec.gains, (n + m,))]
 
 
 def validate_system(spec: SystemSpec) -> SystemSpec:
     """Check every structural invariant; returns the spec unchanged on success.
 
-    Raises SpecError naming the first violated constraint. Every number must
-    be finite, box bounds included (the default start is the box midpoint),
-    and so must the scaled blocks r M_lo, r M_hi and the coupling T of
-    `SystemSpec.blocks`, which this builds.
+    Raises SpecError naming the first violated constraint. Every number is
+    checked, from the one list of `_fields`, for its shape and finiteness
+    (box bounds too: the default start is the box midpoint). The scaled blocks
+    r M_lo, r M_hi and the coupling T of `SystemSpec.blocks`, which this
+    builds, must be finite too.
     Validation is idempotent; m = 0 systems (no y block) are accepted.
     """
-    n, m = spec.n, spec.m
-    if n < 1:
+    if spec.n < 1:
         raise SpecError("dimension mismatch: n must be >= 1")
-    if m < 0:
+    if spec.m < 0:
         raise SpecError("dimension mismatch: m must be >= 0")
-    _check_finite(spec)
+    for name, value, shape in _fields(spec):
+        if np.shape(value) != shape:
+            raise SpecError(
+                f"dimension mismatch: {name} is {np.shape(value)}, expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise SpecError(f"non-finite value in {name}")
     if not (0.0 < spec.alpha <= 1.0):
         raise SpecError("alpha outside (0, 1]")
     if spec.rho <= 0.0:
         raise SpecError("nonpositive rho")
-    if m > 0 and spec.lam <= 0.0:
+    if spec.m > 0 and spec.lam <= 0.0:
         raise SpecError("nonpositive lambda")
-    if spec.a.size != n:
-        raise SpecError(f"dimension mismatch: a has length {spec.a.size}, expected {n}")
-    if spec.b.size != m:
-        raise SpecError(f"dimension mismatch: b has length {spec.b.size}, expected {m}")
-    _check_interval("A", spec.A, n, n)
-    _check_interval("Astar", spec.Astar, n, m)
-    _check_interval("B", spec.B, m, m)
-    _check_interval("Bstar", spec.Bstar, m, n)
-    if spec.shifts.H.shape != (n, n):
-        raise SpecError(f"dimension mismatch: H is {spec.shifts.H.shape}, expected {(n, n)}")
-    if spec.shifts.L.shape != (m, m):
-        raise SpecError(f"dimension mismatch: L is {spec.shifts.L.shape}, expected {(m, m)}")
-    _check_box("box1", spec.box1, n)
-    _check_box("box2", spec.box2, m)
-    if spec.gains.size != n + m:
-        raise SpecError(
-            f"dimension mismatch: gains has length {spec.gains.size}, expected {n + m}"
-        )
+    for name, _, _ in BLOCKS:
+        im = getattr(spec, name)
+        bad = np.argwhere(im.lower > im.upper)
+        if bad.size:
+            i, j = bad[0]
+            raise SpecError(f"interval bound order: {name}[{i},{j}] has lower > upper")
+    for name, box in (("box1", spec.box1), ("box2", spec.box2)):
+        bad = np.argwhere(box.lo > box.hi)
+        if bad.size:
+            raise SpecError(f"box bound order: {name}[{bad[0, 0]}] has lo > hi")
     if np.any(spec.gains <= 0.0):
         raise SpecError("nonpositive gain")
     # finite entries can still overflow once scaled by rho or lambda. T is
@@ -294,17 +262,20 @@ def sample_matrix(im: IntervalMatrix, selector: str, seed: int | None = None,
 
 def sample_realization(spec: SystemSpec, selector: str,
                        seed: int | None = None) -> Realization:
-    """Sample all four blocks with the same selector (one RNG stream for random)."""
+    """Sample M blockwise with one selector, in BLOCKS order (A, A*, B, B*)
+    and, for random, from one generator, so a seed fixes every block."""
     rng = np.random.default_rng(seed) if selector == "random" else None
-    return Realization(
-        A=sample_matrix(spec.A, selector, rng=rng),
-        Astar=sample_matrix(spec.Astar, selector, rng=rng),
-        B=sample_matrix(spec.B, selector, rng=rng),
-        Bstar=sample_matrix(spec.Bstar, selector, rng=rng),
-    )
+    parts = [sample_matrix(getattr(spec, name), selector, rng=rng) for name, _, _ in BLOCKS]
+    return Realization(_assemble(spec.n, spec.m, parts))
 
 
 def check_realization(spec: SystemSpec, real: Realization) -> None:
-    for name in BLOCKS:
-        if not getattr(spec, name).contains(getattr(real, name)):
-            raise SpecError(f"realization outside intervals: {name}")
+    """Raise SpecError unless real.M is (n+m) x (n+m) and M_lo <= M <= M_hi
+    entrywise (spec.blocks); the error names the first entry outside."""
+    blk = spec.blocks
+    if real.M.shape != blk.M_lo.shape:
+        raise SpecError(f"dimension mismatch: M is {real.M.shape}, expected {blk.M_lo.shape}")
+    inside = (real.M >= blk.M_lo) & (real.M <= blk.M_hi)
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]
+        raise SpecError(f"realization outside intervals: M[{i},{j}]")

@@ -116,6 +116,7 @@ def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVect
     form of SystemSpec.blocks. Gains are not applied here (positive gains do
     not move the fixed point).
     """
+    check_realization(spec, real)
     return StateVector.split(PicardMap(spec, real.M)(_flat(spec, s)), spec.n)
 
 

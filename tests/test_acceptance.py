@@ -109,7 +109,7 @@ def test_criterion_04_equilibrium_beats_grid(systems):
         for chunk in np.array_split(xs, 8):
             X1, X2 = np.meshgrid(chunk, ys, indexing="ij")
             X = np.stack([X1.ravel(), X2.ravel()])
-            V = X - ex42.rho * (real.A @ X + ex42.a[:, None])
+            V = X - ex42.rho * (real.M[:2, :2] @ X + ex42.a[:, None])
             U = H @ X
             F = U + np.clip(V - U, ex42.box1.lo[:, None], ex42.box1.hi[:, None])
             res = w42.mu @ np.abs(F - X)

@@ -116,8 +116,8 @@ def test_residual_hand_evaluation_41(ex41, w41):
 
     x, y = np.array(s.x), np.array(s.y)
     H, L = ex41.shifts.H, ex41.shifts.L
-    vx = x - ex41.rho * (real.A @ x + real.Astar @ y + ex41.a)
-    vy = y - ex41.lam * (real.B @ y + real.Bstar @ x + ex41.b)
+    vx = x - ex41.rho * (real.M[:3, :3] @ x + real.M[:3, 3:] @ y + ex41.a)
+    vy = y - ex41.lam * (real.M[3:, 3:] @ y + real.M[3:, :3] @ x + ex41.b)
     fx = H @ x + np.minimum(np.maximum(vx - H @ x, ex41.box1.lo), ex41.box1.hi)
     fy = L @ y + np.minimum(np.maximum(vy - L @ y, ex41.box2.lo), ex41.box2.hi)
     expect = np.sum(np.abs(fx - x)) + np.sum(np.abs(fy - y))

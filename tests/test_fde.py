@@ -125,7 +125,7 @@ def test_constructed_violation_fails(ex42, w42):
     half = states.shape[0] // 2
     states[half:] = states[0]
     fake = fpds.Trajectory(times=traj.times, states=states, alpha=traj.alpha,
-                           realization=real, n=traj.n)
+                           n=traj.n)
     report = envelope_check(fake, eq, w42, cert.theta, slack=0.05)
     assert not report.passed
     assert report.violations > 0
@@ -150,10 +150,7 @@ def test_envelope_underflow_counts_zero_over_zero_as_zero():
     times = np.linspace(0.0, 3000.0, 3001)
     states = np.array([[v0 * math.exp(-theta * t)] for t in times])
     assert np.count_nonzero(states == 0.0) > 1000
-    real = fpds.Realization(A=[[1.0]], Astar=np.zeros((1, 0)),
-                            B=np.zeros((0, 0)), Bstar=np.zeros((0, 1)))
-    traj = fpds.Trajectory(times=times, states=states, alpha=1.0,
-                           realization=real, n=1)
+    traj = fpds.Trajectory(times=times, states=states, alpha=1.0, n=1)
     eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
                           residual=0.0, a_priori_bound=0.0, converged=True,
                           step_norms=np.zeros(1))
@@ -169,11 +166,9 @@ def test_envelope_underflow_counts_zero_over_zero_as_zero():
 def test_envelope_ratio_beyond_float_range_is_inf():
     # at t = 2 the envelope exp(-368 t) is subnormal and V / env overflows
     # (V = 1e-8 stays above zero_tol, so the point is checked)
-    real = fpds.Realization(A=[[1.0]], Astar=np.zeros((1, 0)),
-                            B=np.zeros((0, 0)), Bstar=np.zeros((0, 1)))
     traj = fpds.Trajectory(times=np.array([0.0, 1.0, 2.0]),
                            states=np.array([[1.0], [0.5], [1e-8]]), alpha=1.0,
-                           realization=real, n=1)
+                           n=1)
     eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
                           residual=0.0, a_priori_bound=0.0, converged=True,
                           step_norms=np.zeros(1))
@@ -192,10 +187,7 @@ def test_envelope_zero_tol_applies_where_envelope_is_tiny():
     theta, v0 = 1.0, 1.0
     times = np.linspace(0.0, 740.0, 741)
     states = np.array([[v0 * math.exp(-theta * t) + 1e-12] for t in times])
-    real = fpds.Realization(A=[[1.0]], Astar=np.zeros((1, 0)),
-                            B=np.zeros((0, 0)), Bstar=np.zeros((0, 1)))
-    traj = fpds.Trajectory(times=times, states=states, alpha=1.0,
-                           realization=real, n=1)
+    traj = fpds.Trajectory(times=times, states=states, alpha=1.0, n=1)
     eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
                           residual=0.0, a_priori_bound=0.0, converged=True,
                           step_norms=np.zeros(1))

@@ -91,10 +91,51 @@ def test_random_sampling_deterministic(ex41):
 def test_realization_containment_check(ex41):
     real = fpds.sample_realization(ex41, "midpoint")
     fpds.check_realization(ex41, real)  # no raise
-    bad = fpds.Realization(A=real.A + 100.0, Astar=real.Astar, B=real.B,
-                           Bstar=real.Bstar)
+    M = np.array(real.M)
+    M[:3, :3] += 100.0
+    bad = fpds.Realization(M)
     with pytest.raises(SpecError, match="realization outside"):
         fpds.check_realization(ex41, bad)
+
+
+def _boundary_calls(ex41, w41):
+    s = fpds.StateVector(x=ex41.box1.midpoint(), y=ex41.box2.midpoint())
+    return {
+        "picard_map": lambda real: fpds.picard_map(ex41, real, s),
+        "rhs": lambda real: fpds.rhs(ex41, real, s),
+        "residual": lambda real: fpds.residual(ex41, real, w41, s),
+        "picard_solve": lambda real: fpds.picard_solve(ex41, real, w41),
+        "integrate": lambda real: fpds.integrate(ex41, real, s, 1.0, 10),
+    }
+
+
+@pytest.mark.parametrize("entry", ["picard_map", "rhs", "residual", "picard_solve",
+                                   "integrate"])
+def test_every_entry_point_checks_the_realization(ex41, w41, entry):
+    call = _boundary_calls(ex41, w41)[entry]
+    M = np.array(fpds.sample_realization(ex41, "midpoint").M)
+    call(fpds.Realization(M))  # no raise
+    M[1, 2] += 100.0
+    with pytest.raises(SpecError, match=re.escape("realization outside intervals: M[1,2]")):
+        call(fpds.Realization(M))
+    with pytest.raises(SpecError, match=re.escape("dimension mismatch: M")):
+        call(fpds.Realization(M[:4, :4]))
+
+
+@pytest.mark.parametrize("name", fpds.BUILTIN_NAMES)
+def test_seeded_sampling_matches_blockwise_draws(name):
+    # the bench references depend on these draws: A, A*, B, B* in that
+    # order from one generator, placed as M = [[A, A*], [B*, B]]
+    spec = fpds.builtin_scenario(name)
+    for selector in fpds.model.SELECTORS:
+        for seed in (0, 1, 5, 17, 123456789):
+            rng = np.random.default_rng(seed)
+            A, Astar, B, Bstar = (fpds.sample_matrix(getattr(spec, block), selector, rng=rng)
+                                  for block in ("A", "Astar", "B", "Bstar"))
+            want = np.block([[A, Astar], [Bstar, B]])
+            got = fpds.sample_realization(spec, selector, seed=seed).M
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (selector, seed)
 
 
 def test_m_zero_blocks_are_empty(ex42):
@@ -102,14 +143,28 @@ def test_m_zero_blocks_are_empty(ex42):
     assert ex42.Astar.cols == 0
     assert ex42.B.rows == 0
     real = fpds.sample_realization(ex42, "midpoint")
-    assert real.B.shape == (0, 0)
-    assert real.Bstar.shape == (0, 2)
+    assert real.M[2:, 2:].shape == (0, 0)
+    assert real.M[2:, :2].shape == (0, 2)
 
 
 NUMERIC_FIELDS = ("alpha", "rho", "lambda", "a", "b", "A.lower", "A.upper",
                   "Astar.lower", "Astar.upper", "B.lower", "B.upper",
                   "Bstar.lower", "Bstar.upper", "H", "L", "box1.lo", "box1.hi",
                   "box2.lo", "box2.hi", "gains")
+ARRAY_FIELDS = NUMERIC_FIELDS[3:]   # all but the scalars alpha, rho and lambda
+
+
+def _edited(spec, field, edit):
+    """spec with the named field's value replaced by edit(value)."""
+    if field == "lambda":
+        return dataclasses.replace(spec, lam=edit(spec.lam))
+    if field in ("alpha", "rho", "a", "b", "gains"):
+        return dataclasses.replace(spec, **{field: edit(getattr(spec, field))})
+    outer, inner = (("shifts", field) if field in ("H", "L")
+                    else field.split("."))
+    obj = getattr(spec, outer)
+    return dataclasses.replace(
+        spec, **{outer: dataclasses.replace(obj, **{inner: edit(getattr(obj, inner))})})
 
 
 def _poisoned(spec, field, bad):
@@ -119,17 +174,9 @@ def _poisoned(spec, field, bad):
         arr.flat[0] = bad
         return arr
 
-    if field in ("alpha", "rho"):
-        return dataclasses.replace(spec, **{field: bad})
-    if field == "lambda":
-        return dataclasses.replace(spec, lam=bad)
-    if field in ("a", "b", "gains"):
-        return dataclasses.replace(spec, **{field: hit(getattr(spec, field))})
-    outer, inner = (("shifts", field) if field in ("H", "L")
-                    else field.split("."))
-    obj = getattr(spec, outer)
-    return dataclasses.replace(
-        spec, **{outer: dataclasses.replace(obj, **{inner: hit(getattr(obj, inner))})})
+    if field in ("alpha", "rho", "lambda"):
+        return _edited(spec, field, lambda _: bad)
+    return _edited(spec, field, hit)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -152,3 +199,17 @@ def test_overflowing_scaled_coupling_rejected(ex42, rho, A, H):
         warnings.simplefilter("error")      # no overflow warning escapes
         with pytest.raises(SpecError, match="non-finite value in scaled coupling"):
             fpds.validate_system(spec)
+
+
+def _grown(arr):
+    """arr with one more entry (vectors) or one more row (matrices)."""
+    arr = np.asarray(arr)
+    if arr.ndim == 1:
+        return np.append(arr, 0.0)
+    return np.vstack([arr, np.zeros((1, arr.shape[1]))])
+
+
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_mis_shaped_field_rejected(ex41, field):
+    with pytest.raises(SpecError, match=re.escape(f"dimension mismatch: {field} is")):
+        fpds.validate_system(_edited(ex41, field, _grown))

@@ -123,7 +123,7 @@ def test_rhs_example_42_hand_evaluation(ex42):
     x = np.array([5.8, -4.2])
     expect = np.empty(2)
     for i in range(2):
-        drive = x[i] - 0.25 * (real.A[i] @ x + ex42.a[i])
+        drive = x[i] - 0.25 * (real.M[:2, :2][i] @ x + ex42.a[i])
         u = ex42.shifts.H[i] @ x
         clamped = min(max(drive - u, ex42.box1.lo[i]), ex42.box1.hi[i])
         expect[i] = u + clamped - x[i]
@@ -164,10 +164,12 @@ def test_rhs_hand_evaluation_both_blocks(scenario, gains, selector):
         u = shift[i] @ v
         return g * (u + min(max(drive - u, box.lo[i]), box.hi[i]) - v[i])
 
-    expect_x = [row(i, spec.rho, real.A, real.Astar, spec.a, spec.shifts.H,
-                    spec.box1, x, y, spec.gains[i]) for i in range(spec.n)]
-    expect_y = [row(j, spec.lam, real.B, real.Bstar, spec.b, spec.shifts.L,
-                    spec.box2, y, x, spec.gains[spec.n + j]) for j in range(spec.m)]
+    n = spec.n
+    expect_x = [row(i, spec.rho, real.M[:n, :n], real.M[:n, n:], spec.a,
+                    spec.shifts.H, spec.box1, x, y, spec.gains[i]) for i in range(spec.n)]
+    expect_y = [row(j, spec.lam, real.M[n:, n:], real.M[n:, :n], spec.b,
+                    spec.shifts.L, spec.box2, y, x, spec.gains[spec.n + j])
+                for j in range(spec.m)]
     np.testing.assert_allclose(out.x, expect_x, rtol=0, atol=1e-13)
     np.testing.assert_allclose(out.y, expect_y, rtol=0, atol=1e-13)
 

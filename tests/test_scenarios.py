@@ -70,6 +70,16 @@ def test_round_trip_is_field_exact(name):
     np.testing.assert_array_equal(back.gains, spec.gains)
 
 
+@pytest.mark.parametrize("embed", [False, True])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_serialize_round_trip_is_byte_exact(name, embed):
+    spec = builtin_scenario(name)
+    text = serialize(spec, find_weights(spec) if embed else None)
+    back, w = parse_spec_document(text)
+    assert serialize(back, w) == text
+    assert list(json.loads(text)["intervals"]) == ["A", "Astar", "B", "Bstar"]
+
+
 def test_weights_round_trip(ex42, w42):
     text = serialize(ex42, weights=w42)
     spec, w = parse_spec_document(text)
