@@ -32,10 +32,12 @@ class StateVector:
         return StateVector(x=arr[:n], y=arr[n:])
 
 
-def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(max(v, lo), hi) componentwise, into a new array: the one clamp
-    that project_box, project_implicit and PicardMap run."""
-    out = np.maximum(v, lo)
+def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """min(max(v, lo), hi) componentwise, into out (a new array by default):
+    the one clamp that project_box, project_implicit, PicardMap and
+    AffineClamp run."""
+    out = np.maximum(v, lo, out=out)
     return np.minimum(out, hi, out=out)
 
 
@@ -74,6 +76,28 @@ def _flat(spec: SystemSpec, s: StateVector) -> np.ndarray:
     return z
 
 
+class AffineClamp:
+    """z -> R_top z + clamp(R_bot z, lo, hi) for a stacked (2d, d) operator R,
+    written into a caller's array through a work buffer of its own, so one
+    evaluation is one matrix-vector product, one clamp and one add with no
+    allocation. An instance belongs to one loop: its buffer is not shared
+    across threads.
+    """
+
+    __slots__ = ("R", "lo", "hi", "_u", "_top", "_bot")
+
+    def __init__(self, R: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        d = lo.size
+        self.R, self.lo, self.hi = R, lo, hi
+        self._u = np.empty(2 * d)
+        self._top, self._bot = self._u[:d], self._u[d:]
+
+    def __call__(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.dot(self.R, z, out=self._u)
+        _clamp(self._bot, self.lo, self.hi, out=self._bot)
+        return np.add(self._top, self._bot, out=out)
+
+
 class PicardMap:
     """The Picard map of one realization on the flat state z, built once:
     P(z) = S z + clamp(z - r (M z + c) - S z, K), the projection of
@@ -82,6 +106,15 @@ class PicardMap:
     The operator is stored stacked as G = [S; I - r M - S] together with r c,
     so one evaluation is one product G z and one clamp. Calls make no checks:
     callers validate the state and the realization once, at their entry.
+
+    The dynamics' right-hand side f(z) = g (P(z) - z), g the gains, is
+    evaluated in one affine-clamp form with every constant folded in:
+        f(z) = R_top z - q + clamp(R_bot z, lo', hi'),
+        R = [g (S - I); g (I - r M - S)],  q = g r c,
+        lo' = g (lo + r c),  hi' = g (hi + r c).
+    This is exact in real arithmetic: g > 0, and a positive scale commutes
+    with the clamp. `rhs_form(c)` folds a further positive scale c in the
+    same way, so the integrator's corrector term c f(z) costs no multiply.
     """
 
     __slots__ = ("G", "rc", "lo", "hi", "gains", "d")
@@ -105,9 +138,27 @@ class PicardMap:
         d = self.d
         return g[:d] + _clamp(g[d:] - self.rc, self.lo, self.hi)
 
+    def rhs_form(self, scale: float = 1.0) -> tuple[AffineClamp, np.ndarray]:
+        """scale * f as an AffineClamp A and a shift q with
+        scale * f(z) = A(z) - q, from g = scale * gains. A folded bound that
+        overflows is infinite, which clamps every finite value as the exact
+        bound would."""
+        d = self.d
+        g = scale * self.gains
+        with np.errstate(over="ignore"):
+            R = self.G.copy()
+            R.flat[: d * d : d + 1] -= 1.0          # S - I in the top block
+            R *= np.concatenate([g, g])[:, None]
+            form = AffineClamp(R, g * (self.lo + self.rc), g * (self.hi + self.rc))
+            return form, g * self.rc
+
     def rhs(self, z: np.ndarray) -> np.ndarray:
-        """The dynamics' right-hand side gains * (P(z) - z)."""
-        return self.gains * (self(z) - z)
+        """The dynamics' right-hand side gains * (P(z) - z), evaluated in the
+        affine-clamp form."""
+        form, q = self.rhs_form()
+        out = form(z, np.empty(self.d))
+        out -= q
+        return out
 
 
 def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:

@@ -143,13 +143,12 @@ def serialize(spec: SystemSpec, weights: Weights | None = None) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _shaped(field: str, data, rows: int, cols: int) -> np.ndarray:
+def _shaped(data, rows: int, cols: int) -> np.ndarray:
+    """data as a float array; an empty one takes the shape (rows, cols) of
+    its block, which JSON's [] cannot spell for a 0 x n or n x 0 block. Any
+    other shape is left for validate_system to check."""
     arr = np.array(data, dtype=float)
-    if arr.size == 0:
-        arr = arr.reshape(rows, cols)
-    if arr.shape != (rows, cols):
-        raise SpecError(f"parse error: {field} has shape {arr.shape}, expected {(rows, cols)}")
-    return arr
+    return arr.reshape(rows, cols) if arr.size == 0 == rows * cols else arr
 
 
 def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | None]:
@@ -179,11 +178,10 @@ def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | No
             lam=float(doc.get("lambda", 1.0)),
             a=doc["a"], b=doc["b"],
             **{name: IntervalMatrix(
-                _shaped(f"{name}.lower", intervals[name]["lower"], dims[r], dims[c]),
-                _shaped(f"{name}.upper", intervals[name]["upper"], dims[r], dims[c]))
+                _shaped(intervals[name]["lower"], dims[r], dims[c]),
+                _shaped(intervals[name]["upper"], dims[r], dims[c]))
                for name, r, c in BLOCKS},
-            shifts=ShiftMap(H=_shaped("H", shifts["H"], n, n),
-                            L=_shaped("L", shifts["L"], m, m)),
+            shifts=ShiftMap(H=_shaped(shifts["H"], n, n), L=_shaped(shifts["L"], m, m)),
             box1=BoxSet(lo=boxes["box1"]["lo"], hi=boxes["box1"]["hi"]),
             box2=BoxSet(lo=boxes["box2"]["lo"], hi=boxes["box2"]["hi"]),
             gains=doc.get("gains"),

@@ -251,12 +251,15 @@ def test_non_finite_state_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(fpds.IntegrationError, match=r"h = 0\.5\b.*raise steps") as exc:
             integrate(spec, real, StateVector(x=[1.0], y=[]), 100.0, 200)
-    assert exc.value.step >= 1
+    assert exc.value.step == 51
     assert exc.value.h == 0.5
 
 
+# example-4.1 with distinct gains exercises the gains folded into the
+# right-hand side's clamp bounds on a shifted box (traffic-gstm has H = 0)
 ORACLE_CASES = [("example-4.1", None), ("example-4.2", None),
-                ("traffic-gstm", [1.0, 1.0, 2.0, 1.0])]
+                ("traffic-gstm", [1.0, 1.0, 2.0, 1.0]),
+                ("example-4.1", [0.3, 2.0, 1.7, 0.9, 5.0])]
 
 
 def _reference_rhs(spec, real):

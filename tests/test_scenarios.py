@@ -106,7 +106,25 @@ def test_missing_field(ex42):
 def test_wrong_shape(ex42):
     doc = json.loads(serialize(ex42))
     doc["intervals"]["A"]["lower"] = [[1.0]]
-    with pytest.raises(SpecError, match="parse error: A.lower"):
+    with pytest.raises(SpecError, match="dimension mismatch: A.lower"):
+        load_spec(json.dumps(doc))
+
+
+def test_m_zero_spec_round_trips_through_load_spec(ex42):
+    # JSON writes the 0 x 2 block B* as [], and the parser restores its
+    # shape; the shapes are then checked by validate_system alone
+    text = serialize(ex42)
+    assert json.loads(text)["intervals"]["Bstar"]["lower"] == []
+    back = load_spec(text)
+    assert back.Astar.lower.shape == (2, 0)
+    assert back.Bstar.lower.shape == (0, 2)
+    assert back.B.upper.shape == (0, 0)
+    assert back.shifts.L.shape == (0, 0)
+    assert serialize(back) == text
+    # an empty block where a non-empty one belongs is a dimension error
+    doc = json.loads(text)
+    doc["intervals"]["A"]["upper"] = []
+    with pytest.raises(SpecError, match="dimension mismatch: A.upper"):
         load_spec(json.dumps(doc))
 
 
