@@ -19,11 +19,11 @@ BLOCKS = (("A", 0, 0), ("Astar", 0, 1), ("B", 1, 1), ("Bstar", 1, 0))
 
 
 def _matrix(a) -> np.ndarray:
+    """a as a read-only float array; an empty one is 0 x 0. Its shape is left
+    for validate_system and check_realization to check against the field's."""
     out = np.array(a, dtype=float)
     if out.ndim == 1 and out.size == 0:
         out = out.reshape(0, 0)
-    if out.ndim != 2:
-        raise SpecError("expected a matrix, got array of ndim %d" % out.ndim)
     out.setflags(write=False)
     return out
 

@@ -80,22 +80,50 @@ class AffineClamp:
     """z -> R_top z + clamp(R_bot z, lo, hi) for a stacked (2d, d) operator R,
     written into a caller's array through a work buffer of its own, so one
     evaluation is one matrix-vector product, one clamp and one add with no
-    allocation. An instance belongs to one loop: its buffer is not shared
-    across threads.
+    allocation. The buffer keeps the last evaluation's clamp argument R_bot z,
+    whose `pattern` says which rows clamped. An instance belongs to one loop:
+    its buffer is not shared across threads.
+
+    For a fixed pattern the form is affine, z -> A z + b (`affine`), on the
+    closed region of arguments that `region` bounds; on a bound the adjacent
+    patterns give the same value.
     """
 
-    __slots__ = ("R", "lo", "hi", "_u", "_top", "_bot")
+    __slots__ = ("R", "lo", "hi", "_u", "_top", "_bot", "_clamped")
 
     def __init__(self, R: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         d = lo.size
         self.R, self.lo, self.hi = R, lo, hi
         self._u = np.empty(2 * d)
         self._top, self._bot = self._u[:d], self._u[d:]
+        self._clamped = np.empty(d)
 
     def __call__(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.dot(self.R, z, out=self._u)
-        _clamp(self._bot, self.lo, self.hi, out=self._bot)
-        return np.add(self._top, self._bot, out=out)
+        _clamp(self._bot, self.lo, self.hi, out=self._clamped)
+        return np.add(self._top, self._clamped, out=out)
+
+    def pattern(self) -> np.ndarray:
+        """The clamp pattern of the last evaluation: per row of R_bot z, -1
+        below lo, 1 above hi and 0 inside (a NaN reads inside), as int8."""
+        u = self._bot
+        return (u > self.hi).view(np.int8) - (u < self.lo).view(np.int8)
+
+    def affine(self, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b) with A z + b = R_top z + clamp(R_bot z, lo, hi) wherever
+        R_bot z has this pattern: inside rows keep R_bot, clamped rows
+        contribute their bound."""
+        d = self.lo.size
+        A = self.R[:d] + (pattern == 0)[:, None] * self.R[d:]
+        b = np.where(pattern < 0, self.lo, np.where(pattern > 0, self.hi, 0.0))
+        return A, b
+
+    def region(self, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (lo_p, hi_p) of the closed region lo_p <= R_bot z <= hi_p on
+        which `affine(pattern)` equals the form."""
+        lo_p = np.where(pattern < 0, -np.inf, np.where(pattern > 0, self.hi, self.lo))
+        hi_p = np.where(pattern > 0, np.inf, np.where(pattern < 0, self.lo, self.hi))
+        return lo_p, hi_p
 
 
 class PicardMap:

@@ -296,11 +296,12 @@ def _reference_abm(spec, real, z0, t_end, steps):
     return np.array(Z)
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 50])
+@pytest.mark.parametrize("steps", [1, 2, 3, 50, 65, 130])
 @pytest.mark.parametrize("selector", ["lower", "upper", "random"])
 @pytest.mark.parametrize("scenario,gains", ORACLE_CASES)
 def test_integrate_matches_reference_abm(scenario, gains, selector, steps):
-    # steps 1 to 3 cover the empty and one-term history sums
+    # steps 1 to 3 cover the empty and one-term history sums; 65 and 130
+    # cross the first leaf edge and the first FFT level of the far history
     spec = fpds.builtin_scenario(scenario, gains=gains)
     real = fpds.sample_realization(spec, selector, seed=5)
     # off the box midpoint, so that some rows clamp and some do not
@@ -330,3 +331,96 @@ def test_picard_map_and_rhs_match_project_implicit(scenario, gains, selector):
         assert np.abs(p_got - p_ref).max() <= 1e-15 * scale
         r_got = fpds.rhs(spec, real, s).as_array()
         assert np.abs(r_got - f(z)).max() <= 1e-15 * scale * spec.gains.max()
+
+
+def _direct_pece(spec, real, z0, t_end, steps):
+    """The PECE loop step by step, each step summing its whole history with
+    one product over reversed, stacked weights, and the right-hand side in
+    the affine-clamp form of `PicardMap.rhs_form`; the first non-finite
+    state, found by one scan after the loop, raises IntegrationError."""
+    alpha = spec.alpha
+    h = t_end / steps
+    pmap = fpds.projection.PicardMap(spec, real.M)
+    idx = np.arange(steps + 2, dtype=float)
+    pa = idx ** alpha
+    pa1 = idx ** (alpha + 1.0)
+    b_w = pa[1:] - pa[:-1]
+    a_w = pa1[2:] + pa1[:-2] - 2.0 * pa1[1:-1]
+    a0 = pa1[:steps] - (idx[:steps] - alpha) * pa[1 : steps + 1]
+    c_pred = h ** alpha / math.gamma(alpha + 1.0)
+    c_corr = h ** alpha / math.gamma(alpha + 2.0)
+    # W[0, p] = c_pred b_w[steps-1-p] and W[1, p] = c_corr a_{steps-p}: at
+    # step k the slice p >= steps-k meets F_j, j = p - steps + k + 1
+    W = np.stack([c_pred * b_w[steps - 1 :: -1], c_corr * a_w[::-1]])
+    J0 = np.stack([c_pred * b_w[:steps], c_corr * a0], axis=1)
+    Z = np.empty((steps + 1, z0.size))
+    F = np.empty_like(Z)
+    Z[0] = z0
+    y = np.empty((2, z0.size))
+    pred, corr = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, q = pmap.rhs_form()
+        f_corr, q_corr = pmap.rhs_form(c_corr)
+        f(z0, F[0])
+        F[0] -= q
+        base = z0 + J0[:, :, None] * F[0]
+        base[:, 1] -= q_corr
+        for k in range(steps):
+            np.matmul(W[:, steps - k :], F[1 : k + 1], out=y)
+            y += base[k]
+            f_corr(pred, Z[k + 1])
+            Z[k + 1] += corr
+            f(Z[k + 1], F[k + 1])
+            F[k + 1] -= q
+    finite = np.isfinite(Z).all(axis=1)
+    if not finite.all():
+        raise fpds.IntegrationError(int(np.argmin(finite)), h)
+    return Z
+
+
+@pytest.mark.parametrize("steps", [129, 257, 1000, 4000])
+@pytest.mark.parametrize("selector", ["lower", "upper", "random"])
+@pytest.mark.parametrize("scenario,gains", ORACLE_CASES)
+def test_integrate_matches_direct_pece(scenario, gains, selector, steps):
+    # the steps cross leaf edges, FFT levels up to 2048 and, from this start
+    # off the box midpoint, changes of the clamp pattern
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    real = fpds.sample_realization(spec, selector, seed=5)
+    z0 = np.concatenate([spec.box1.midpoint() + 1.5, spec.box2.midpoint() - 0.5])
+    traj = integrate(spec, real, StateVector.split(z0, spec.n), 20.0, steps)
+    ref = _direct_pece(spec, real, z0, 20.0, steps)
+    assert np.abs(traj.states - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("scenario,selector,step", [
+    ("example-4.2", "lower", 299), ("example-4.1", "upper", 345),
+    ("traffic-gstm", "random", 361)])
+def test_unstable_step_raises_where_direct_pece_does(scenario, selector, step):
+    # h = 5: the explicit predictor is unstable and the state overflows
+    spec = fpds.builtin_scenario(scenario)
+    real = fpds.sample_realization(spec, selector, seed=3)
+    z0 = np.concatenate([spec.box1.midpoint(), spec.box2.midpoint()])
+    with pytest.raises(fpds.IntegrationError) as ref:
+        _direct_pece(spec, real, z0, 5000.0, 1000)
+    with pytest.raises(fpds.IntegrationError) as got:
+        integrate(spec, real, StateVector.split(z0, spec.n), 5000.0, 1000)
+    assert (got.value.step, got.value.h) == (ref.value.step, ref.value.h) == (step, 5.0)
+
+
+def test_blow_up_stops_at_the_first_non_finite_state(monkeypatch):
+    # example-4.2 at h = 5 overflows at step 299 of 20000; the integrator
+    # stops there instead of running the remaining steps. Each step it runs
+    # evaluates the right-hand side at most twice
+    spec = fpds.builtin_scenario("example-4.2")
+    real = fpds.sample_realization(spec, "lower")
+    calls = []
+    call = fpds.projection.AffineClamp.__call__
+
+    def counted(self, z, out):
+        calls.append(1)
+        return call(self, z, out)
+    monkeypatch.setattr(fpds.projection.AffineClamp, "__call__", counted)
+    with pytest.raises(fpds.IntegrationError) as exc:
+        integrate(spec, real, StateVector(x=spec.box1.midpoint(), y=[]), 5.0 * 20000, 20000)
+    assert exc.value.step == 299
+    assert len(calls) < 2 * (299 + 64)

@@ -216,3 +216,61 @@ def test_mis_split_weights_rejected(ex41, w41):
     traj = fpds.integrate(ex41, real, s, 1.0, 10)
     with pytest.raises(fpds.SpecError, match="dimension mismatch: weights"):
         fpds.envelope_check(traj, eq, bad, theta=0.1)
+
+
+def test_clamp_pattern_codes():
+    # R = [0; I]: the clamp argument is z itself
+    R = np.vstack([np.zeros((4, 4)), np.eye(4)])
+    form = fpds.projection.AffineClamp(R, np.zeros(4), np.ones(4))
+    form(np.array([-0.5, 0.5, 1.5, 1.0]), np.empty(4))
+    np.testing.assert_array_equal(form.pattern(), [-1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("scenario,gains", [("example-4.1", [0.3, 2.0, 1.7, 0.9, 5.0]),
+                                            ("example-4.2", None),
+                                            ("traffic-gstm", [1.0, 1.0, 2.0, 1.0])])
+def test_affine_form_of_a_pattern_matches_the_clamp(scenario, gains):
+    # random points at several scales around the box reach every region of
+    # every row; at each, the affine form of the point's own pattern is the
+    # clamp form, and the clamp argument lies in the pattern's region
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    real = fpds.sample_realization(spec, "random", seed=7)
+    form, _ = fpds.projection.PicardMap(spec, real.M).rhs_form(0.7)
+    d = spec.n + spec.m
+    mid = spec.blocks.box.midpoint()
+    rng = np.random.default_rng(29)
+    seen = set()
+    out = np.empty(d)
+    for scale in (0.5, 3.0, 30.0):
+        for _ in range(100):
+            z = mid + rng.normal(scale=scale, size=d)
+            form(z, out)
+            p = form.pattern()
+            u = form.R[d:] @ z
+            lo_p, hi_p = form.region(p)
+            assert np.all((lo_p <= u) & (u <= hi_p))
+            A, b = form.affine(p)
+            size = (np.abs(form.R[:d]) + np.abs(form.R[d:])) @ np.abs(z)
+            assert np.all(np.abs(A @ z + b - out) <= 1e-15 * size.max())
+            seen.update(zip(range(d), p.tolist()))
+    assert seen == {(i, c) for i in range(d) for c in (-1, 0, 1)}
+
+
+def test_adjacent_patterns_agree_on_a_bound():
+    # the clamp argument sits exactly on lo in row 0 and on hi in row 1, so
+    # row 0 is below or inside and row 1 inside or above
+    rng = np.random.default_rng(31)
+    R = rng.normal(size=(6, 3))
+    z = rng.normal(size=3)
+    u = (R @ z)[3:]             # the argument exactly as the form computes it
+    lo = np.array([u[0], u[1] - 1.0, u[2] - 1.0])
+    hi = np.array([u[0] + 1.0, u[1], u[2] + 1.0])
+    form = fpds.projection.AffineClamp(R, lo, hi)
+    out = form(z, np.empty(3))
+    size = ((np.abs(R[:3]) + np.abs(R[3:])) @ np.abs(z)).max()
+    for p in ([-1, 0, 0], [0, 0, 0], [0, 1, 0], [-1, 1, 0]):
+        p = np.array(p, dtype=np.int8)
+        lo_p, hi_p = form.region(p)
+        assert np.all((lo_p <= u) & (u <= hi_p))
+        A, b = form.affine(p)
+        assert np.abs(A @ z + b - out).max() <= 1e-15 * size

@@ -103,10 +103,15 @@ def test_missing_field(ex42):
         load_spec(json.dumps(doc))
 
 
-def test_wrong_shape(ex42):
+@pytest.mark.parametrize("lower,shape", [
+    ([[1.0]], r"\(1, 1\)"), ([1.0, 2.0], r"\(2,\)"),
+    ([[[1.0], [2.0]], [[3.0], [4.0]]], r"\(2, 2, 1\)")], ids=["1x1", "1-d", "3-d"])
+def test_wrong_shape(ex42, lower, shape):
+    # a matrix of the wrong size or of the wrong number of dimensions is
+    # reported against the field's expected shape
     doc = json.loads(serialize(ex42))
-    doc["intervals"]["A"]["lower"] = [[1.0]]
-    with pytest.raises(SpecError, match="dimension mismatch: A.lower"):
+    doc["intervals"]["A"]["lower"] = lower
+    with pytest.raises(SpecError, match=rf"dimension mismatch: A.lower is {shape}, expected \(2, 2\)"):
         load_spec(json.dumps(doc))
 
 
