@@ -8,29 +8,42 @@ cost down, both exact up to rounding:
 - Far history by divide and conquer. The steps are cut into leaves of LEAF
   steps, and a step sums directly only over its own leaf. When a leaf ends,
   the dyadic block of leaves that ends there adds its history to the steps
-  after it, with one product for a single leaf and one FFT convolution for
-  larger blocks (Hairer, Lubich & Schlichte 1985; Garrappa's fde12).
+  after it, with one dense product for blocks of one or two leaves and one
+  FFT convolution for larger blocks (Hairer, Lubich & Schlichte 1985;
+  Garrappa's fde12).
 - Piecewise-affine blocks. The right-hand side
   f(z) = R_top z - q + clamp(R_bot z, lo', hi') is affine wherever its clamp
-  pattern (each row below, inside or above its bounds) is fixed. A block
-  starts with one exact PECE step, the probe, whose two evaluations give the
-  patterns; the block's later rows solve a linear recurrence, CHUNK rows per
-  product, and one vectorized pass keeps the longest prefix of rows that are
-  finite and keep both patterns.
+  pattern (each row below, inside or above its bounds) is fixed. One exact
+  PECE step, a probe, gives the patterns by its two evaluations; a block
+  then solves its rows as one linear recurrence, with one product by the
+  recurrence's resolvent, and one vectorized pass keeps the longest prefix
+  of rows that are finite and keep both patterns. The next block continues
+  under the same patterns without a probe, across leaf ends too; a probe
+  runs only at the first step and where a block stopped early.
+
+Everything that depends on (alpha, h, steps) alone, the weights and their
+arrangements for the history sums, is one cached read-only table
+(`_tables`), so the realizations of a sweep, which share those three, build
+it once.
 
 The gain rests on one property of the trajectories: the clamp pattern
-changes rarely. Measured shares of rows computed in affine blocks: 98% on
-sweep-ex41 (example-4.1, 4000 steps, 1 to 5 patterns a run); 97-98% on
-envelope-long's examples and 95% on its traffic-gstm requests (350 steps,
-6 to 7 patterns, all in the first 20 steps); worst seen, the builtins at
-h = 5, where the explicit predictor is unstable: 84-91% of the steps before
-the state overflows. Above AFFINE_DIM unknowns a block's d^2 arithmetic
-outweighs the calls it saves, and every step is a probe.
+changes rarely. Measured shares of rows computed in affine blocks: 99.96%
+on sweep-ex41 (example-4.1, 4000 steps, 1 to 5 pattern pairs a run);
+99.6-99.7% on envelope-long's examples and 98.1% on its traffic-gstm
+requests (350 steps, 6 to 7 pattern pairs, all in the first 20 steps);
+99.3% on the builtins at h = 2; worst seen, the builtins at h = 5, where
+the explicit predictor is unstable: 88-96% of the steps before the state
+overflows. A block holds at most BLOCK_SIZE unknowns, its rows times d, so
+that its resolvent, (rows d)^2 entries, stays small; above AFFINE_DIM
+unknowns a block's arithmetic outweighs the numpy calls it saves, and every
+step is a probe.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,19 +89,70 @@ class EnvelopeReport:
 # steps per leaf of the divide-and-conquer history sum, which is also the
 # longest piecewise-affine block
 LEAF = 64
-# rows of a piecewise-affine block solved at once, through the resolvent of
-# CHUNK rows: sqrt(LEAF), so a full block takes as many chunks as a chunk
-# has rows
-CHUNK = 8
 # the largest state dimension run in piecewise-affine blocks. A block row
-# costs about (LEAF/2 + CHUNK) d^2 multiply-adds against about 4 d^2 for a
-# probe, and saves about ten numpy calls. On random networks at 2000 steps
-# (shared 2-CPU x86_64, one BLAS thread) blocks took 0.28x the time of
-# probes alone at d = 5, 0.53x at d = 16, 0.88x at d = 24, 0.87-1.04x at
-# d = 32, 1.15x at d = 40 and 1.59x at d = 50
-AFFINE_DIM = 24
+# costs about (LEAF/2 + rows) d^2 multiply-adds, the resolvent's product
+# multiplying its zero upper triangle too, and each clamp-pattern pair
+# builds its resolvent; a probe costs about 4 d^2 and ten numpy calls a
+# step. Random networks (bench's random_network_document, three per d,
+# random realization, start 2 off the box midpoint) at 2000 steps, t_end
+# 20, on a shared 2-CPU x86_64 machine with one BLAS thread: blocks took
+# 0.20-0.21x the time of probes alone at d = 5, 0.48-0.59x at d = 16,
+# 0.66-0.75x at d = 24, 0.64-0.85x at d = 32, 0.76-0.99x at d = 40,
+# 0.98-1.19x at d = 50 and 1.41-1.78x at d = 64. Without BLOCK_SIZE, blocks
+# of 64 rows took 0.68-1.16x at d = 16 and 1.69-2.00x at d = 24
+AFFINE_DIM = 40
+# the most unknowns a block solves at once, its rows times d: blocks of
+# LEAF rows at d = 5, and a resolvent of at most 320^2 entries (800 kB)
+BLOCK_SIZE = 320
+# the levels of the far history, s = LEAF and 2 LEAF, summed by a dense
+# product rather than an FFT convolution. Per call at d = 5 (shared 2-CPU
+# x86_64, one BLAS thread): s = 128 took 15 us dense against 46 us by FFT,
+# s = 256 54 against 74 us and s = 512 650 against 130 us; s = 256 stays on
+# the FFT because its dense weights would take 1 MB of every cached table
+DENSE_FAR = 2
 # the largest finite float: a kept row's values must lie within it
 _BIG = np.finfo(float).max
+
+
+class _Tables(NamedTuple):
+    """What `integrate` needs of (alpha, h, steps) alone; every array is
+    read-only, so one table serves every call with those arguments."""
+
+    c_corr: float                    # h^alpha / Gamma(alpha + 2)
+    W: np.ndarray                    # (2, steps): weights of F_j at step k, lag k - j
+    j0: np.ndarray                   # (steps, 2): the j = 0 weights of step k
+    near: np.ndarray                 # sums over a step's own leaf
+    far: tuple[np.ndarray, ...]      # sums over earlier leaves, per level
+
+
+@functools.lru_cache(maxsize=4)
+def _tables(alpha: float, h: float, steps: int) -> _Tables:
+    """The weights of `integrate` and their arrangements for the history
+    sums: the sums of leaf row i over the rows of its own leaf are rows 2i,
+    2i + 1 of near times those rows. far[l] holds the weights of the dyadic
+    blocks of s = LEAF << l steps, for every s < steps (`_add_far`): for
+    l < DENSE_FAR the dense weights _toeplitz(W, s, s), above that the rfft
+    of W[:, :2s] at length 2s."""
+    idx = np.arange(steps + 2, dtype=float)
+    pa = idx ** alpha
+    pa1 = idx ** (alpha + 1.0)
+    b_w = pa[1:] - pa[:-1]                              # b_w[i] = (i+1)^a - i^a
+    a_w = pa1[2:] + pa1[:-2] - 2.0 * pa1[1:-1]          # a_w[i-1] = a_i, i >= 1
+    a0 = pa1[:steps] - (idx[:steps] - alpha) * pa[1 : steps + 1]
+    c_pred = h ** alpha / math.gamma(alpha + 1.0)
+    c_corr = h ** alpha / math.gamma(alpha + 2.0)
+    W = np.stack([c_pred * b_w[:steps], c_corr * a_w])
+    far = []
+    s = LEAF
+    while s < steps:
+        far.append(_toeplitz(W, s, s) if s < LEAF << DENSE_FAR
+                   else np.fft.rfft(W[:, : 2 * s], n=2 * s)[:, None])
+        s *= 2
+    tab = _Tables(c_corr, W, np.stack([c_pred * b_w[:steps], c_corr * a0], axis=1),
+                  _toeplitz(W, min(LEAF, steps), 0), tuple(far))
+    for arr in (W, tab.j0, tab.near, *far):
+        arr.setflags(write=False)
+    return tab
 
 
 def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
@@ -104,32 +168,39 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
 
     For j >= 1 both weights depend on the lag k - j alone; scaled by
     h^alpha/Gamma(alpha+1) and h^alpha/Gamma(alpha+2) they are the two rows
-    of W. Step k's j = 0 terms, the corrector's constant -c_corr q and its
-    far history go into a row base[k]. The realization is checked once, here,
-    and its Picard map built once; f and the corrector term c_corr f are the
+    of W. The weights and their arrangements for the history sums depend on
+    (alpha, h, steps) alone and come from one shared, read-only table
+    (`_tables`), so a sweep over realizations builds them once. Step k's
+    j = 0 terms, the corrector's constant -c_corr q and its far history go
+    into a row base[k]. The realization is checked once, here, and its
+    Picard map built once; f and the corrector term c_corr f are the
     affine-clamp forms of `PicardMap.rhs_form`.
 
     Far history: when the leaf of LEAF steps that ends at step e is done,
     the block [e - s, e), s the lowest set bit of e, is the left half of a
     dyadic block, and its history is added to the base rows [e, e + s): by
-    one product with dense weights for s = LEAF, by one FFT convolution per
-    weight row above. Every pair of steps in different leaves meets in
-    exactly one such block, so a step sums directly only over its own leaf.
+    one product with dense weights for s = LEAF and 2 LEAF (DENSE_FAR), by
+    one FFT convolution per weight row above. Every pair of steps in
+    different leaves meets in exactly one such block, so a step sums
+    directly only over its own leaf.
 
-    Within a leaf the steps run in blocks. A block starts with a probe, one
-    exact PECE step, whose two evaluations give the clamp patterns of the
-    predictor and of the new state. While both patterns hold, f and c_corr f
-    are affine (`AffineClamp.affine`), and the block's later derivatives
-    solve a linear recurrence (`_Linear`). One vectorized pass evaluates the
-    block's predictors and states from those derivatives and keeps the
-    longest prefix of rows that are finite and keep both patterns; the first
-    row that fails starts the next block. A block is twice as long as the
-    rows the last one kept (probe included), at most LEAF, and ends with its
-    leaf. A probe whose state is not finite raises IntegrationError(step, h)
-    at once; a kept row is always finite, so the first non-finite state is a
-    probe's, at the step where the step-by-step scheme meets it. numpy's
-    overflow warnings are silenced so that the error is the only signal.
-    Systems of more than AFFINE_DIM unknowns run every step as a probe.
+    Within a leaf the steps run in blocks. A probe, one exact PECE step,
+    gives by its two evaluations the clamp patterns of the predictor and of
+    the new state. While both patterns hold, f and c_corr f are affine
+    (`AffineClamp.affine`), and a block's derivatives solve a linear
+    recurrence (`_Linear`). One vectorized pass evaluates the block's
+    predictors and states from those derivatives and keeps the longest
+    prefix of rows that are finite and keep both patterns. A block that
+    keeps every row is followed by the next block under the same patterns,
+    twice as long, at most LEAF rows and BLOCK_SIZE unknowns, also across a
+    leaf end; a block that stops early is followed by a probe at the row
+    where it stopped, and then by a block of twice the rows it kept. The
+    first block, after the probe at the first step, has two rows. A probe
+    whose state is not finite raises IntegrationError(step, h) at once; a
+    kept row is always finite, so the first non-finite state is a probe's,
+    at the step where the step-by-step scheme meets it. numpy's overflow
+    warnings are silenced so that the error is the only signal. Systems of
+    more than AFFINE_DIM unknowns run every step as a probe.
     """
     if steps < 1:
         raise SpecError("steps must be >= 1")
@@ -140,23 +211,9 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     alpha = spec.alpha
     h = t_end / steps
     pmap = PicardMap(spec, real.M)
-
-    idx = np.arange(steps + 2, dtype=float)
-    pa = idx ** alpha
-    pa1 = idx ** (alpha + 1.0)
-    b_w = pa[1:] - pa[:-1]                              # b_w[i] = (i+1)^a - i^a
-    a_w = pa1[2:] + pa1[:-2] - 2.0 * pa1[1:-1]          # a_w[i-1] = a_i, i >= 1
-    a0 = pa1[:steps] - (idx[:steps] - alpha) * pa[1 : steps + 1]
-    c_pred = h ** alpha / math.gamma(alpha + 1.0)
-    c_corr = h ** alpha / math.gamma(alpha + 2.0)
-    # W[:, l]: predictor and corrector weights of F_j at step k, lag l = k - j
-    W = np.stack([c_pred * b_w[:steps], c_corr * a_w])
-    leaf_len = min(LEAF, steps)
-    # the history sums of leaf row i over the rows of its own leaf are rows
-    # 2i, 2i + 1 of near times those rows, and over the leaf before it, for
-    # the leaves that start at an odd multiple of LEAF, rows of far_leaf
-    near = _toeplitz(W, leaf_len, 0)
-    far_leaf = _toeplitz(W, LEAF, LEAF) if steps > LEAF else None
+    tab = _tables(alpha, h, steps)
+    near = tab.near
+    lags = tab.W[:, : near.shape[1] - 1]     # the lags within a leaf
 
     d = z_init.size
     Z = np.empty((steps + 1, d))
@@ -165,48 +222,52 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     Zs, Fs = Z[1:], F[1:]           # row k: the state after step k
     y = np.empty((2, d))
     pred, corr = y
-    spectra: dict[int, np.ndarray] = {}
     # the affine map of the last pattern pair, rebuilt when the pair changes
     lin, lin_key = None, b""
     affine = d <= AFFINE_DIM
+    longest = min(LEAF, max(2, BLOCK_SIZE // d))
+    probe, length = True, 2
     with np.errstate(over="ignore", invalid="ignore"):
         f, q = pmap.rhs_form()
-        f_corr, q_corr = pmap.rhs_form(c_corr)     # c_corr f = f_corr - q_corr
+        f_corr, q_corr = pmap.rhs_form(tab.c_corr)     # c_corr f = f_corr - q_corr
         f(z_init, F[0])
         F[0] -= q
         # base[k]: z0 plus the j = 0 terms of step k's predictor and
         # corrector, the corrector's constant -c_corr q, and the far history
-        base = z_init + np.stack([c_pred * b_w[:steps], c_corr * a0], axis=1)[:, :, None] * F[0]
+        base = z_init + tab.j0[:, :, None] * F[0]
         base[:, 1] -= q_corr
-        length = leaf_len
         for leaf in range(0, steps, LEAF):
             end = min(leaf + LEAF, steps)
             k = leaf
             while k < end:
                 i = k - leaf
-                z_new, f_new = Zs[k], Fs[k]
-                np.matmul(near[2 * i : 2 * i + 2, :i], Fs[leaf:k], out=y)
-                y += base[k]
-                f_corr(pred, z_new)
-                z_new += corr
-                # a sum is finite unless an entry is not, or it overflows
-                if not math.isfinite(z_new.sum()) and not np.isfinite(z_new).all():
-                    raise IntegrationError(k + 1, h)
-                f(z_new, f_new)
-                f_new -= q
-                rows = min(length, end - k) - 1 if affine else 0
-                kept = 0
-                if rows:
-                    pp, pz = f_corr.pattern(), f.pattern()
-                    key = pp.tobytes() + pz.tobytes()
-                    if key != lin_key:
-                        lin, lin_key = _Linear(f, f_corr, pp, pz, q, W[:, : leaf_len - 1]), key
-                    kept = lin.block(near[2 * i + 2 : 2 * (i + rows) + 2, : i + rows], Fs, Zs,
-                                     leaf, k, base[k + 1 : k + 1 + rows])
-                length = min(LEAF, 2 * (kept + 1) if kept < rows else 2 * length)
-                k += kept + 1
+                if probe:
+                    z_new, f_new = Zs[k], Fs[k]
+                    np.matmul(near[2 * i : 2 * i + 2, :i], Fs[leaf:k], out=y)
+                    y += base[k]
+                    f_corr(pred, z_new)
+                    z_new += corr
+                    # a sum is finite unless an entry is not, or it overflows
+                    if not math.isfinite(z_new.sum()) and not np.isfinite(z_new).all():
+                        raise IntegrationError(k + 1, h)
+                    f(z_new, f_new)
+                    f_new -= q
+                    k += 1
+                    if affine:
+                        pp, pz = f_corr.pattern(), f.pattern()
+                        key = pp.tobytes() + pz.tobytes()
+                        if key != lin_key:
+                            lin, lin_key = _Linear(f, f_corr, pp, pz, q, lags), key
+                        probe = False
+                    continue
+                rows = min(length, end - k)
+                kept = lin.block(near[2 * i : 2 * (i + rows), : i + rows], Fs, Zs,
+                                 leaf, k, base[k : k + rows])
+                probe = kept < rows
+                length = min(longest, 2 * (kept + 1) if probe else 2 * length)
+                k += kept
             if end < steps:
-                _add_far(base, Fs, W, end, far_leaf, spectra)
+                _add_far(base, Fs, tab, end)
 
     times = h * np.arange(steps + 1)
     return Trajectory(times=times, states=Z, alpha=alpha, n=spec.n)
@@ -225,44 +286,51 @@ def _toeplitz(W: np.ndarray, size: int, shift: int) -> np.ndarray:
     return window.transpose(1, 0, 2).reshape(2 * size, size)
 
 
-def _add_far(base: np.ndarray, Fs: np.ndarray, W: np.ndarray, e: int,
-             far_leaf: np.ndarray, spectra: dict) -> None:
+def _add_far(base: np.ndarray, Fs: np.ndarray, tab: _Tables, e: int) -> None:
     """Add the history of the block [e - s, e), s the lowest set bit of e, to
-    the base rows [e, e + s): for s = LEAF one product with far_leaf, above
-    it one FFT convolution of length 2s per weight row, whose weight spectra
-    are cached per s."""
+    the base rows [e, e + s): on the first DENSE_FAR levels by one product
+    with dense weights, above them by one FFT convolution of length 2s per
+    weight row, along the last axis of the (d, s) block of derivatives."""
     s = e & -e
     count = min(s, base.shape[0] - e)
-    if s == LEAF:
-        base[e : e + count] += (far_leaf[: 2 * count] @ Fs[e - s : e]).reshape(count, 2, -1)
+    level = (s // LEAF).bit_length() - 1
+    weights = tab.far[level]
+    if level < DENSE_FAR:
+        base[e : e + count] += (weights[: 2 * count] @ Fs[e - s : e]).reshape(count, 2, -1)
         return
-    spec = spectra.get(s)
-    if spec is None:
-        spec = spectra[s] = np.fft.rfft(W[:, : 2 * s], n=2 * s, axis=1)[:, :, None]
     # row e + r meets F at step e - s + i with lag s + r - 1 - i, which is
     # index s - 1 + r of the circular convolution; no wrap-around reaches it
-    conv = np.fft.irfft(spec * np.fft.rfft(Fs[e - s : e], n=2 * s, axis=0), n=2 * s, axis=1)
-    base[e : e + count] += conv[:, s - 1 : s - 1 + count].transpose(1, 0, 2)
+    conv = np.fft.irfft(weights * np.fft.rfft(Fs[e - s : e].T, n=2 * s), n=2 * s)
+    base[e : e + count] += conv[:, :, s - 1 : s - 1 + count].transpose(2, 0, 1)
+
+
+def _slabs(X: np.ndarray, start: int, count: int, width: int) -> np.ndarray:
+    """The (count, d, width) view of a C-contiguous (d, .) array X whose
+    slab a is X[:, start - a d : start - a d + width]. With d x d blocks
+    laid side by side in X, the slabs are the block rows of a block
+    Toeplitz matrix."""
+    d, size = X.shape[0], X.itemsize
+    return np.ndarray((count, d, width), buffer=X, offset=start * size,
+                      strides=(-d * size, X.strides[0], size))
 
 
 class _Linear:
     """The PECE step as a linear map for one pair of clamp patterns: pp of
     the predictor's evaluation and pz of the new state's.
 
-    With c_corr f(p) = At p + bt - c_corr q and f(z) = A z + bz - q, a block
-    whose probe is row 0 has derivatives
+    With c_corr f(p) = At p + bt - c_corr q and f(z) = A z + bz - q, the
+    derivatives of a block's rows r = 0, 1, ... are
         F_r = G_r + sum_{l=1..r} K_l F_{r-l},
         K_l = w^C_{l-1} A + w^P_{l-1} A At,   G_r = A (C_r + bt + At P_r) + bz - q,
     where P_r and C_r are row r's predictor and corrector sums over the rows
-    before the probe and w^P, w^C are the rows of W. K is stored reversed
-    and side by side, so the sum of row r over rows 0..a-1 is the product of
-    a slice of K with those rows. The recurrence is solved CHUNK rows at a
-    time: the sum over earlier chunks, then the chunk's resolvent, whose
-    blocks R_0 = I, R_r = sum_{l=1..r} K_l R_{r-l} are the same for every
-    chunk.
+    before the block and w^P, w^C are the rows of W. The solution is one
+    product F = T G by the block lower-triangular resolvent T, whose block
+    (r, j) is R_{r-j}: R_0 = I, R_r = sum_{l=1..r} K_l R_{r-l}. T's leading
+    blocks serve every shorter block, so T is grown only as far as the
+    longest block asked for so far.
     """
 
-    __slots__ = ("K", "chunk", "GA", "g0", "check_p", "check_z", "bt", "bf",
+    __slots__ = ("K", "T", "GA", "g0", "check_y", "check_z", "bt", "bf",
                  "lo", "hi")
 
     def __init__(self, f: AffineClamp, f_corr: AffineClamp, pp: np.ndarray,
@@ -272,71 +340,76 @@ class _Linear:
         A, bz = f.affine(pz)
         AAt = A @ At
         K = W[1, :, None, None] * A + W[0, :, None, None] * AAt
+        # K_l side by side in reverse, whose slabs (`_slabs`) are block rows
+        # of the Toeplitz matrix of the K_l
         self.K = np.ascontiguousarray(K[::-1].transpose(1, 0, 2).reshape(d, -1))
-        width = self.K.shape[1]
-        c = min(CHUNK, width // d + 1)
-        R = np.empty((c, d, d))
-        R[0] = np.eye(d)
-        for r in range(1, c):
-            np.matmul(self.K[:, width - r * d :], R[:r].reshape(r * d, d), out=R[r])
-        lag = np.arange(c)
-        lag = lag[:, None] - lag
-        # chunk[(r, x), (j, y)] = R_{r-j}[x, y] for r >= j, else 0
-        self.chunk = np.where((lag >= 0)[:, None, :, None],
-                              R[np.maximum(lag, 0)].transpose(0, 2, 1, 3), 0.0).reshape(c * d, c * d)
+        self.T = np.eye(d)
         self.GA = np.concatenate([AAt.T, A.T])
         self.bt, self.bf = bt, bz - q
         self.g0 = A @ bt + self.bf
-        # one product gives a row's affine value and its clamp argument; the
-        # value must be finite and the argument inside the pattern's region
-        self.check_p = np.concatenate([At.T, f_corr.R[d:].T], axis=1)
+        # a row's sums (P, C) give z - bt and the predictor's clamp argument
+        # in one product, z gives f(z) - bf and its own clamp argument in
+        # another; z and f(z) must be finite and each argument inside its
+        # pattern's region
+        self.check_y = np.zeros((2 * d, 2 * d))
+        self.check_y[:d, :d] = At.T
+        self.check_y[:d, d:] = f_corr.R[d:].T
+        self.check_y[d:, :d] = np.eye(d)
         self.check_z = np.concatenate([A.T, f.R[d:].T], axis=1)
-        self.lo = np.full((2, 1, 2 * d), -_BIG)
-        self.hi = np.full((2, 1, 2 * d), _BIG)
-        for row, form, pattern in ((0, f_corr, pp), (1, f, pz)):
-            self.lo[row, 0, d:], self.hi[row, 0, d:] = form.region(pattern)
+        self.lo = np.full(4 * d, -_BIG)
+        self.hi = np.full(4 * d, _BIG)
+        self.lo[d : 2 * d], self.hi[d : 2 * d] = f_corr.region(pp)
+        self.lo[3 * d :], self.hi[3 * d :] = f.region(pz)
+
+    def _grow(self, rows: int) -> None:
+        """Rebuild T for blocks of `rows` rows. A pass takes T from c to at
+        most 2c block rows in two products: V_a = sum_{b<c} K_{c+a-b} R_b,
+        for every a at once through the slabs of K, and then
+        (R_c, ..., R_{c+m-1}) = T_m V, since the new blocks solve the same
+        recurrence with V as their G."""
+        d, width = self.K.shape
+        while (c := self.T.shape[0] // d) < rows:
+            m = min(rows - c, c)
+            R = self.T[:, :d]                       # R_0, ..., R_{c-1}, stacked
+            # slab a of K: K_{c+a}, ..., K_{a+1}
+            V = np.matmul(_slabs(self.K, width - c * d, m, c * d), R)
+            R = np.concatenate([R, self.T[: m * d, : m * d] @ V.reshape(m * d, d)])
+            # R_{n-1}, ..., R_0 side by side, then zeros: slab r is T's block row r
+            n = c + m
+            H = np.zeros((d, (2 * n - 1) * d))
+            H[:, : n * d] = R.reshape(n, d, d)[::-1].transpose(1, 0, 2).reshape(d, n * d)
+            self.T = _slabs(H, (n - 1) * d, n, n * d).reshape(n * d, n * d)
 
     def block(self, near: np.ndarray, Fs: np.ndarray, Zs: np.ndarray, leaf: int,
               k: int, base: np.ndarray) -> int:
-        """Run the rows after the probe at step k, in the leaf that starts at
-        step `leaf`; near and base hold those rows' weights over the leaf and
-        their base rows. Keeps the longest prefix of rows that is finite and
-        consistent with both patterns, writes it into Zs and Fs and returns
-        its length."""
+        """Run rows k, k + 1, ... of the leaf that starts at step `leaf`;
+        near and base hold those rows' weights over the leaf and their base
+        rows. Keeps the longest prefix of rows that is finite and consistent
+        with both patterns, writes it into Zs and Fs and returns its
+        length."""
         rows, d = base.shape[0], base.shape[2]
         i = k - leaf
         known = (near[:, :i] @ Fs[leaf:k]).reshape(rows, 2, d)
         known += base
         G = known.reshape(rows, 2 * d) @ self.GA
         G += self.g0
-        K, chunk = self.K, self.chunk
-        width = K.shape[1]
-        step = chunk.shape[0] // d
-        flat = Fs[k : k + rows + 1].reshape(-1)
-        for a in range(1, rows + 1, step):
-            m = min(step, rows + 1 - a)
-            # row a + t's sum over rows 0..a-1 uses the a blocks of K that
-            # start t blocks before row a's
-            past = np.ndarray((m, d, a * d), buffer=K, offset=8 * (width - a * d),
-                              strides=(-8 * d, 8 * width, 8))
-            rhs = np.matmul(past, flat[: a * d])
-            rhs += G[a - 1 : a - 1 + m]
-            np.dot(chunk[: m * d, : m * d], rhs.reshape(-1), out=flat[a * d : (a + m) * d])
-        y = (near[:, i:] @ Fs[k : k + rows]).reshape(rows, 2, d)
-        y += known
-        # ev[0] = [c_corr f(p) + c_corr q | predictor's clamp argument],
-        # ev[1] = [f(z) | state's clamp argument], with z in place of the first
-        ev = np.empty((2, rows, 2 * d))
-        np.matmul(y[:, 0], self.check_p, out=ev[0])
-        z = ev[0, :, :d]
-        z += y[:, 1]
+        size = rows * d
+        if size > self.T.shape[0]:
+            self._grow(rows)
+        np.dot(self.T[:size, :size], G.reshape(-1), out=Fs[k : k + rows].reshape(-1))
+        y = (near[:, i:] @ Fs[k : k + rows]).reshape(rows, 2 * d)
+        y += known.reshape(rows, 2 * d)
+        # ev = [z | predictor's clamp argument | f(z) | state's clamp argument]
+        ev = np.empty((rows, 4 * d))
+        np.matmul(y, self.check_y, out=ev[:, : 2 * d])
+        z = ev[:, :d]
         z += self.bt
-        np.matmul(z, self.check_z, out=ev[1])
-        ev[1, :, :d] += self.bf
-        ok = ((ev >= self.lo) & (ev <= self.hi)).all(axis=(0, 2))
-        kept = rows if ok.all() else int(ok.argmin())
-        Zs[k + 1 : k + 1 + kept] = z[:kept]
-        Fs[k + 1 : k + 1 + kept] = ev[1, :kept, :d]
+        np.matmul(z, self.check_z, out=ev[:, 2 * d :])
+        ev[:, 2 * d : 3 * d] += self.bf
+        ok = (ev >= self.lo) & (ev <= self.hi)
+        kept = rows if ok.all() else int(ok.all(axis=1).argmin())
+        Zs[k : k + kept] = z[:kept]
+        Fs[k : k + kept] = ev[:kept, 2 * d : 3 * d]
         return kept
 
 

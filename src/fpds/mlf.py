@@ -19,6 +19,10 @@ poles s^alpha = z lie off the principal sheet, so the only singularity the
 contour has to respect is the branch point at 0: mu, the step h and the node
 count depend on (alpha, beta) alone, one set of nodes serves every z < 0,
 and an array of arguments is evaluated in one broadcast sum.
+
+Both are cached: the nodes per (alpha, beta), and the decay envelope
+`ml_envelope` at v0 = 1 per (alpha, theta, time grid), read-only, so the
+trajectories of one sweep, which share those three, evaluate it once.
 """
 from __future__ import annotations
 
@@ -167,7 +171,13 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
 
 def ml_envelope(alpha: float, theta: float, v0: float, t):
     """Decay envelope v0 * E_alpha(-theta t^alpha) for a scalar or an array of
-    times t; returns a float or an array of t's shape."""
+    times t; returns a float or a new array of t's shape.
+
+    The arguments are validated first; the unit envelope E_alpha(-theta
+    t^alpha) is then cached per (alpha, theta, the bytes of the grid), so a
+    sweep that checks many trajectories on one grid evaluates it once. The
+    result is v0 times the cached values, bit for bit what an uncached
+    evaluation gives."""
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr >= 0.0):
         raise ValueError("t must be nonnegative and not NaN")
@@ -177,12 +187,20 @@ def ml_envelope(alpha: float, theta: float, v0: float, t):
         raise ValueError("v0 must be finite and nonnegative")
     alpha = float(alpha)
     _check_orders(alpha, 1.0)
-    x = theta * t_arr ** alpha
+    out = v0 * _unit_envelope(alpha, float(theta), t_arr.tobytes()).reshape(t_arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_envelope(alpha: float, theta: float, grid: bytes) -> np.ndarray:
+    """E_alpha(-theta t^alpha) on the grid of times whose float64 bytes are
+    `grid`, as a read-only 1-D array."""
+    x = theta * np.frombuffer(grid) ** alpha
     if alpha == 1.0:
         env = np.exp(-x)
     else:
         env = np.ones_like(x)
         live = x > 0.0
         env[live] = _ml_negative(alpha, 1.0, x[live])
-    out = v0 * env
-    return float(out) if out.ndim == 0 else out
+    env.setflags(write=False)
+    return env

@@ -424,3 +424,124 @@ def test_blow_up_stops_at_the_first_non_finite_state(monkeypatch):
         integrate(spec, real, StateVector(x=spec.box1.midpoint(), y=[]), 5.0 * 20000, 20000)
     assert exc.value.step == 299
     assert len(calls) < 2 * (299 + 64)
+
+
+def _count_block_rows(monkeypatch):
+    """Wrap `_Linear.block` and return a list that gathers, per call, the
+    rows asked for and the rows kept."""
+    seen = []
+    block = fpds.fde._Linear.block
+
+    def counted(self, near, Fs, Zs, leaf, k, base):
+        kept = block(self, near, Fs, Zs, leaf, k, base)
+        seen.append((base.shape[0], kept))
+        return kept
+    monkeypatch.setattr(fpds.fde._Linear, "block", counted)
+    return seen
+
+
+@pytest.mark.parametrize("selector", ["lower", "upper"])
+def test_first_blocks_discard_few_rows(monkeypatch, selector):
+    # traffic-gstm from the box midpoint walks through six or seven clamp
+    # patterns in its first 20 steps; blocks that start short and double
+    # solve few rows that a pattern change then discards (a first block of
+    # 64 rows discarded 78 and 67)
+    seen = _count_block_rows(monkeypatch)
+    spec = fpds.builtin_scenario("traffic-gstm")
+    real = fpds.sample_realization(spec, selector)
+    z0 = StateVector(x=spec.box1.midpoint(), y=spec.box2.midpoint())
+    integrate(spec, real, z0, 350.0, 350)
+    assert sum(kept for _, kept in seen) > 300
+    assert sum(rows - kept for rows, kept in seen) < 32
+
+
+def test_blocks_continue_without_a_probe(monkeypatch):
+    # example-4.1 at 4000 steps keeps one pair of clamp patterns: after the
+    # first probe every block, across every leaf end, runs without one (a
+    # probe per leaf made 127 evaluations)
+    spec = fpds.builtin_scenario("example-4.1")
+    real = fpds.sample_realization(spec, "lower")
+    calls = []
+    call = fpds.projection.AffineClamp.__call__
+
+    def counted(self, z, out):
+        calls.append(1)
+        return call(self, z, out)
+    monkeypatch.setattr(fpds.projection.AffineClamp, "__call__", counted)
+    z0 = StateVector(x=spec.box1.midpoint(), y=spec.box2.midpoint())
+    traj = integrate(spec, real, z0, 20.0, 4000)
+    assert np.isfinite(traj.states).all()
+    assert len(calls) < 20
+
+
+def test_trajectory_is_bitwise_equal_with_the_table_cache_cold_or_warm():
+    spec = fpds.builtin_scenario("example-4.1")
+    z0 = StateVector(x=spec.box1.midpoint() + 1.5, y=spec.box2.midpoint() - 0.5)
+    reals = [fpds.sample_realization(spec, "random", seed=s) for s in (1, 2)]
+    fpds.fde._tables.cache_clear()
+    cold = [integrate(spec, real, z0, 20.0, 1000).states for real in reals]
+    assert fpds.fde._tables.cache_info().misses == 1
+    fpds.fde._tables.cache_clear()
+    warm = [integrate(spec, real, z0, 20.0, 1000).states for real in reals[::-1]][::-1]
+    assert fpds.fde._tables.cache_info().hits == 1
+    for a, b in zip(cold, warm):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_cached_tables_are_read_only():
+    tab = fpds.fde._tables(0.9, 0.005, 4000)
+    arrays = [tab.W, tab.j0, tab.near, *tab.far]
+    assert len(tab.far) == 6       # s = 64, 128, ..., 2048
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+        with pytest.raises(ValueError):
+            arr += 0.0
+
+
+@pytest.mark.parametrize("steps", [129, 1000])
+@pytest.mark.parametrize("scenario,gains", ORACLE_CASES[:3])
+def test_probe_only_path_matches_direct_pece(monkeypatch, scenario, gains, steps):
+    # systems of more than AFFINE_DIM unknowns run every step as a probe;
+    # with the bound at 0 the builtins take that path
+    monkeypatch.setattr(fpds.fde, "AFFINE_DIM", 0)
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    real = fpds.sample_realization(spec, "random", seed=5)
+    z0 = np.concatenate([spec.box1.midpoint() + 1.5, spec.box2.midpoint() - 0.5])
+    traj = integrate(spec, real, StateVector.split(z0, spec.n), 20.0, steps)
+    ref = _direct_pece(spec, real, z0, 20.0, steps)
+    assert np.abs(traj.states - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def _random_spec(d, seed):
+    """A random interval network of d unknowns, n = 2d/3 and m = d - n, whose
+    point realizations are diagonally dominant."""
+    rng = np.random.default_rng(seed)
+    n = 2 * d // 3
+    m = d - n
+
+    def interval(rows, cols, diag=0.0):
+        lo = rng.uniform(-0.3, 0.3, (rows, cols)) / max(cols, 1) + diag * np.eye(rows, cols)
+        return fpds.IntervalMatrix(lo, lo + rng.uniform(0.0, 0.05, (rows, cols)) / max(cols, 1))
+    return fpds.validate_system(fpds.SystemSpec(
+        n=n, m=m, alpha=0.8, rho=0.5, lam=0.5, a=rng.uniform(-2, 2, n), b=rng.uniform(-2, 2, m),
+        A=interval(n, n, 1.5), Astar=interval(n, m), B=interval(m, m, 1.5), Bstar=interval(m, n),
+        shifts=fpds.ShiftMap(H=rng.uniform(-0.02, 0.02, (n, n)),
+                             L=rng.uniform(-0.02, 0.02, (m, m))),
+        box1=fpds.BoxSet(-np.ones(n), np.ones(n)), box2=fpds.BoxSet(-np.ones(m), np.ones(m)),
+    ))
+
+
+@pytest.mark.parametrize("d", [16, 24])
+def test_larger_systems_run_shorter_blocks_that_match_direct_pece(monkeypatch, d):
+    # above d = 5 a block holds at most BLOCK_SIZE // d rows, so that its
+    # resolvent stays small
+    seen = _count_block_rows(monkeypatch)
+    spec = _random_spec(d, seed=d)
+    real = fpds.sample_realization(spec, "random", seed=1)
+    z0 = np.concatenate([spec.box1.midpoint() + 2.0, spec.box2.midpoint() - 2.0])
+    traj = integrate(spec, real, StateVector.split(z0, spec.n), 20.0, 300)
+    ref = _direct_pece(spec, real, z0, 20.0, 300)
+    assert np.abs(traj.states - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+    assert sum(kept for _, kept in seen) > 250
+    assert max(rows for rows, _ in seen) == fpds.fde.BLOCK_SIZE // d

@@ -138,6 +138,55 @@ def test_envelope_zero_start():
     assert ml_envelope(0.8, 0.1, 0.0, 7.0) == 0.0
 
 
+@pytest.mark.parametrize("v0", [1.0, 3.0])
+def test_envelope_results_are_fresh_arrays(v0):
+    ts = np.linspace(0.0, 20.0, 401)
+    first = ml_envelope(0.9, 0.2, v0, ts)
+    want = first.copy()
+    first[:] = -1.0
+    again = ml_envelope(0.9, 0.2, v0, ts)
+    np.testing.assert_array_equal(again, want)
+    again[0] = 7.0
+    assert ml_envelope(0.9, 0.2, v0, ts)[0] == v0
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+def test_envelope_is_exactly_v0_times_the_unit_envelope(alpha):
+    ts = np.linspace(0.0, 40.0, 801)
+    unit = ml_envelope(alpha, 0.15, 1.0, ts)
+    for v0 in (0.0, 1e-300, 0.37, 5.0, 1e300):
+        np.testing.assert_array_equal(ml_envelope(alpha, 0.15, v0, ts), v0 * unit)
+        assert ml_envelope(alpha, 0.15, v0, 3.0) == v0 * ml_envelope(alpha, 0.15, 1.0, 3.0)
+
+
+def test_envelope_grids_of_one_length_do_not_share_a_cache_entry():
+    # the same length and dtype, different values: each must give its own
+    # envelope, also in the order that would reuse a stale entry
+    a = np.linspace(0.0, 10.0, 201)
+    b = np.linspace(0.0, 30.0, 201)
+    env_a, env_b = ml_envelope(0.8, 0.3, 2.0, a), ml_envelope(0.8, 0.3, 2.0, b)
+    assert not np.array_equal(env_a, env_b)
+    np.testing.assert_array_equal(ml_envelope(0.8, 0.3, 2.0, a), env_a)
+    for t, env in ((a, env_a), (b, env_b)):
+        scalar = [ml_envelope(0.8, 0.3, 2.0, float(x)) for x in t]
+        np.testing.assert_allclose(env, scalar, rtol=1e-15, atol=0.0)
+
+
+def test_envelope_errors_with_a_warm_cache():
+    ts = np.linspace(0.0, 5.0, 11)
+    ml_envelope(0.8, 0.1, 1.0, ts)
+    bad = ts.copy()
+    bad[4] = math.nan
+    with pytest.raises(ValueError, match="t must be nonnegative and not NaN"):
+        ml_envelope(0.8, 0.1, 1.0, bad)
+    with pytest.raises(ValueError, match="theta must be finite and positive"):
+        ml_envelope(0.8, 0.0, 1.0, ts)
+    # v0 is not part of the cache key: a warm grid must not skip its check
+    for v0 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="v0 must be finite and nonnegative"):
+            ml_envelope(0.8, 0.1, v0, ts)
+
+
 # -------------------------------------------------------------- input checks
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (1.2, 1.0), (-0.5, 1.0),
