@@ -31,6 +31,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A --seed value, also applied to the FPDS_SEED default: numpy's seeds
+    are nonnegative integers."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"seed must be a nonnegative integer (--seed or FPDS_SEED), got {text!r}")
+
+
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
@@ -197,7 +209,6 @@ def _cmd_sweep(args, out) -> int:
 
 
 def build_parser() -> _Parser:
-    default_seed = int(os.environ.get("FPDS_SEED", "0"))
     parser = _Parser(prog="fpds",
                      description="Certify, solve and simulate interval implicit "
                                  "projection networks with Caputo dynamics.")
@@ -206,7 +217,7 @@ def build_parser() -> _Parser:
     def common(p, selector=True, sim=False):
         p.add_argument("scenario", help="builtin scenario name or spec-file path")
         p.add_argument("--weights", help="comma-separated mu then tau (length n+m)")
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=_seed, default=os.environ.get("FPDS_SEED", "0"))
         p.add_argument("--tol", type=float, default=1e-10)
         if selector:
             p.add_argument("--selector", choices=SELECTORS, default="lower")

@@ -15,16 +15,17 @@ cost down, both exact up to rounding:
   f(z) = R_top z - q + clamp(R_bot z, lo', hi') is affine wherever its clamp
   pattern (each row below, inside or above its bounds) is fixed. One exact
   PECE step, a probe, gives the patterns by its two evaluations; a block
-  then solves its rows as one linear recurrence, with one product by the
-  recurrence's resolvent, and one vectorized pass keeps the longest prefix
-  of rows that are finite and keep both patterns. The next block continues
-  under the same patterns without a probe, across leaf ends too; a probe
-  runs only at the first step and where a block stopped early.
+  then solves its rows as one linear recurrence, with one batched product
+  by a strip of the recurrence's resolvent blocks, and one vectorized pass
+  keeps the longest prefix of rows that are finite and keep both patterns.
+  The next block continues under the same patterns without a probe, across
+  leaf ends too; a probe runs only at the first step and where a block
+  stopped early.
 
 Everything that depends on (alpha, h, steps) alone, the weights and their
 arrangements for the history sums, is one cached read-only table
 (`_tables`), so the realizations of a sweep, which share those three, build
-it once.
+it once; only the last table is kept.
 
 The gain rests on one property of the trajectories: the clamp pattern
 changes rarely. Measured shares of rows computed in affine blocks: 99.96%
@@ -34,7 +35,7 @@ requests (350 steps, 6 to 7 pattern pairs, all in the first 20 steps);
 99.3% on the builtins at h = 2; worst seen, the builtins at h = 5, where
 the explicit predictor is unstable: 88-96% of the steps before the state
 overflows. A block holds at most BLOCK_SIZE unknowns, its rows times d, so
-that its resolvent, (rows d)^2 entries, stays small; above AFFINE_DIM
+that its product, (rows d)^2 multiply-adds, stays small; above AFFINE_DIM
 unknowns a block's arithmetic outweighs the numpy calls it saves, and every
 step is a probe.
 """
@@ -46,7 +47,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .certify import Weights
 from .equilibrium import Equilibrium
@@ -92,17 +92,19 @@ LEAF = 64
 # the largest state dimension run in piecewise-affine blocks. A block row
 # costs about (LEAF/2 + rows) d^2 multiply-adds, the resolvent's product
 # multiplying its zero upper triangle too, and each clamp-pattern pair
-# builds its resolvent; a probe costs about 4 d^2 and ten numpy calls a
-# step. Random networks (bench's random_network_document, three per d,
-# random realization, start 2 off the box midpoint) at 2000 steps, t_end
-# 20, on a shared 2-CPU x86_64 machine with one BLAS thread: blocks took
-# 0.20-0.21x the time of probes alone at d = 5, 0.48-0.59x at d = 16,
-# 0.66-0.75x at d = 24, 0.64-0.85x at d = 32, 0.76-0.99x at d = 40,
-# 0.98-1.19x at d = 50 and 1.41-1.78x at d = 64. Without BLOCK_SIZE, blocks
-# of 64 rows took 0.68-1.16x at d = 16 and 1.69-2.00x at d = 24
+# grows its strip of resolvent blocks, r d^3 for row r; a probe costs about
+# 4 d^2 and ten numpy calls a step. Random networks (bench's
+# random_network_document, three per d, random realization, start 2 off
+# the box midpoint) at 2000 steps, t_end 20, on a shared 2-CPU x86_64
+# machine with one BLAS thread: blocks took 0.14-0.20x the time of probes
+# alone at d = 5, 0.45-0.46x at d = 16, 0.56-0.60x at d = 24, 0.65-0.71x at
+# d = 32, 0.76-0.83x at d = 40, 0.90-1.05x at d = 50, 0.82-1.18x at d = 64
+# and 1.12-1.14x at d = 80. Without BLOCK_SIZE, blocks of 64 rows took
+# 0.47-0.50x at d = 16 and 0.74-0.95x at d = 24
 AFFINE_DIM = 40
 # the most unknowns a block solves at once, its rows times d: blocks of
-# LEAF rows at d = 5, and a resolvent of at most 320^2 entries (800 kB)
+# LEAF rows at d = 5. A block's product with its rows of the resolvent
+# costs (rows d)^2 multiply-adds, at most 320^2
 BLOCK_SIZE = 320
 # the levels of the far history, s = LEAF and 2 LEAF, summed by a dense
 # product rather than an FFT convolution. Per call at d = 5 (shared 2-CPU
@@ -125,7 +127,7 @@ class _Tables(NamedTuple):
     far: tuple[np.ndarray, ...]      # sums over earlier leaves, per level
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _tables(alpha: float, h: float, steps: int) -> _Tables:
     """The weights of `integrate` and their arrangements for the history
     sums: the sums of leaf row i over the rows of its own leaf are rows 2i,
@@ -188,7 +190,8 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     gives by its two evaluations the clamp patterns of the predictor and of
     the new state. While both patterns hold, f and c_corr f are affine
     (`AffineClamp.affine`), and a block's derivatives solve a linear
-    recurrence (`_Linear`). One vectorized pass evaluates the block's
+    recurrence (`_Linear`), solved by one batched product with a strip of
+    its resolvent's blocks. One vectorized pass evaluates the block's
     predictors and states from those derivatives and keeps the longest
     prefix of rows that are finite and keep both patterns. A block that
     keeps every row is followed by the next block under the same patterns,
@@ -213,7 +216,6 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     pmap = PicardMap(spec, real.M)
     tab = _tables(alpha, h, steps)
     near = tab.near
-    lags = tab.W[:, : near.shape[1] - 1]     # the lags within a leaf
 
     d = z_init.size
     Z = np.empty((steps + 1, d))
@@ -226,6 +228,7 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     lin, lin_key = None, b""
     affine = d <= AFFINE_DIM
     longest = min(LEAF, max(2, BLOCK_SIZE // d))
+    lags = tab.W[:, : longest - 1]          # the lags within a block
     probe, length = True, 2
     with np.errstate(over="ignore", invalid="ignore"):
         f, q = pmap.rhs_form()
@@ -277,13 +280,13 @@ def _toeplitz(W: np.ndarray, size: int, shift: int) -> np.ndarray:
     """The (2 size, size) matrix T with T[2r + p, i] = W[p, r - 1 - i + shift]
     where that lag is in range, else 0: rows 2r, 2r + 1 times size rows of
     derivatives give the predictor and corrector sums of row r over them."""
-    # x[:, j] = W[:, j + shift - size], so T[2r + p, i] = x[p, r + size - 1 - i]
+    # x[:, j] = W[:, shift + size - 2 - j], so T[2r + p, i] = x[p, size - 1 - r + i]
     x = np.zeros((2, 2 * size - 1))
-    seg = W[:, max(shift - size, 0) : shift + size - 1]
-    start = max(size - shift, 0)
-    x[:, start : start + seg.shape[1]] = seg
-    window = sliding_window_view(x, size, axis=1)[:, :size, ::-1]
-    return window.transpose(1, 0, 2).reshape(2 * size, size)
+    low = max(shift - size, 0)
+    seg = W[:, low : shift + size - 1]
+    end = shift + size - 1 - low
+    x[:, end - seg.shape[1] : end] = seg[:, ::-1]
+    return _slabs(x, size - 1, size, size, 1).reshape(2 * size, size)
 
 
 def _add_far(base: np.ndarray, Fs: np.ndarray, tab: _Tables, e: int) -> None:
@@ -304,14 +307,15 @@ def _add_far(base: np.ndarray, Fs: np.ndarray, tab: _Tables, e: int) -> None:
     base[e : e + count] += conv[:, :, s - 1 : s - 1 + count].transpose(2, 0, 1)
 
 
-def _slabs(X: np.ndarray, start: int, count: int, width: int) -> np.ndarray:
-    """The (count, d, width) view of a C-contiguous (d, .) array X whose
-    slab a is X[:, start - a d : start - a d + width]. With d x d blocks
-    laid side by side in X, the slabs are the block rows of a block
-    Toeplitz matrix."""
-    d, size = X.shape[0], X.itemsize
-    return np.ndarray((count, d, width), buffer=X, offset=start * size,
-                      strides=(-d * size, X.strides[0], size))
+def _slabs(X: np.ndarray, start: int, count: int, width: int, step: int) -> np.ndarray:
+    """The (count, d, width) view of a C-contiguous array X of d rows, read
+    as (d, .), whose slab a is X[:, start - a step : start - a step + width].
+    With d x d blocks side by side in X and step d, the slabs are the block
+    rows of a block Toeplitz matrix; with step 1, the rows of a Toeplitz
+    matrix per row of X."""
+    size = X.itemsize
+    return np.ndarray((count, X.shape[0], width), buffer=X, offset=start * size,
+                      strides=(-step * size, X.strides[0], size))
 
 
 class _Linear:
@@ -323,15 +327,20 @@ class _Linear:
         F_r = G_r + sum_{l=1..r} K_l F_{r-l},
         K_l = w^C_{l-1} A + w^P_{l-1} A At,   G_r = A (C_r + bt + At P_r) + bz - q,
     where P_r and C_r are row r's predictor and corrector sums over the rows
-    before the block and w^P, w^C are the rows of W. The solution is one
-    product F = T G by the block lower-triangular resolvent T, whose block
-    (r, j) is R_{r-j}: R_0 = I, R_r = sum_{l=1..r} K_l R_{r-l}. T's leading
-    blocks serve every shorter block, so T is grown only as far as the
-    longest block asked for so far.
+    before the block and w^P, w^C are the rows of W. That is (I - L) F = G,
+    L block lower-triangular Toeplitz with blocks K_l, so F = T G, and the
+    resolvent T = (I - L)^-1 is block lower-triangular Toeplitz too, with
+    block (r, j) R_{r-j}. The strip holds R_{L-1}, ..., R_1, R_0 = I side by
+    side, then zeros, L the longest block, and its slabs (`_slabs`) are T's
+    block rows. T (I - L) = (I - L) T = I, so the R_r solve the right-hand
+    recurrence R_r = sum_{l=1..r} R_{r-l} K_l as well as the left-hand one;
+    the right-hand one grows the strip by one block a row, as far as the
+    longest block asked for, with one product of the strip's contiguous
+    (R_{r-1}, ..., R_0) and (K_1; ...; K_r), a reshape of K.
     """
 
-    __slots__ = ("K", "T", "GA", "g0", "check_y", "check_z", "bt", "bf",
-                 "lo", "hi")
+    __slots__ = ("K", "strip", "grown", "GA", "g0", "check_y", "check_z", "bt",
+                 "bf", "lo", "hi")
 
     def __init__(self, f: AffineClamp, f_corr: AffineClamp, pp: np.ndarray,
                  pz: np.ndarray, q: np.ndarray, W: np.ndarray):
@@ -339,11 +348,11 @@ class _Linear:
         At, bt = f_corr.affine(pp)
         A, bz = f.affine(pz)
         AAt = A @ At
-        K = W[1, :, None, None] * A + W[0, :, None, None] * AAt
-        # K_l side by side in reverse, whose slabs (`_slabs`) are block rows
-        # of the Toeplitz matrix of the K_l
-        self.K = np.ascontiguousarray(K[::-1].transpose(1, 0, 2).reshape(d, -1))
-        self.T = np.eye(d)
+        self.K = W[1, :, None, None] * A + W[0, :, None, None] * AAt   # K_1, ..., K_{L-1}
+        L = W.shape[1] + 1
+        self.strip = np.zeros((d, 2 * L - 1, d))
+        self.strip[:, L - 1] = np.eye(d)
+        self.grown = 1                      # R_0, ..., R_{grown-1} are in the strip
         self.GA = np.concatenate([AAt.T, A.T])
         self.bt, self.bf = bt, bz - q
         self.g0 = A @ bt + self.bf
@@ -361,24 +370,15 @@ class _Linear:
         self.lo[d : 2 * d], self.hi[d : 2 * d] = f_corr.region(pp)
         self.lo[3 * d :], self.hi[3 * d :] = f.region(pz)
 
-    def _grow(self, rows: int) -> None:
-        """Rebuild T for blocks of `rows` rows. A pass takes T from c to at
-        most 2c block rows in two products: V_a = sum_{b<c} K_{c+a-b} R_b,
-        for every a at once through the slabs of K, and then
-        (R_c, ..., R_{c+m-1}) = T_m V, since the new blocks solve the same
-        recurrence with V as their G."""
-        d, width = self.K.shape
-        while (c := self.T.shape[0] // d) < rows:
-            m = min(rows - c, c)
-            R = self.T[:, :d]                       # R_0, ..., R_{c-1}, stacked
-            # slab a of K: K_{c+a}, ..., K_{a+1}
-            V = np.matmul(_slabs(self.K, width - c * d, m, c * d), R)
-            R = np.concatenate([R, self.T[: m * d, : m * d] @ V.reshape(m * d, d)])
-            # R_{n-1}, ..., R_0 side by side, then zeros: slab r is T's block row r
-            n = c + m
-            H = np.zeros((d, (2 * n - 1) * d))
-            H[:, : n * d] = R.reshape(n, d, d)[::-1].transpose(1, 0, 2).reshape(d, n * d)
-            self.T = _slabs(H, (n - 1) * d, n, n * d).reshape(n * d, n * d)
+    def solve(self, G: np.ndarray, out: np.ndarray) -> None:
+        """Write a block's derivatives F = T G, (rows, d), into out."""
+        rows, d = G.shape
+        K, strip, L = self.K, self.strip, self.K.shape[0] + 1
+        for r in range(self.grown, rows):
+            # R_r = (R_{r-1}, ..., R_0) (K_1; ...; K_r)
+            strip[:, L - 1 - r] = strip[:, L - r : L].reshape(d, r * d) @ K[:r].reshape(r * d, d)
+        self.grown = max(self.grown, rows)
+        np.matmul(_slabs(strip, (L - 1) * d, rows, rows * d, d), G.ravel(), out=out)
 
     def block(self, near: np.ndarray, Fs: np.ndarray, Zs: np.ndarray, leaf: int,
               k: int, base: np.ndarray) -> int:
@@ -393,10 +393,7 @@ class _Linear:
         known += base
         G = known.reshape(rows, 2 * d) @ self.GA
         G += self.g0
-        size = rows * d
-        if size > self.T.shape[0]:
-            self._grow(rows)
-        np.dot(self.T[:size, :size], G.reshape(-1), out=Fs[k : k + rows].reshape(-1))
+        self.solve(G, Fs[k : k + rows])
         y = (near[:, i:] @ Fs[k : k + rows]).reshape(rows, 2 * d)
         y += known.reshape(rows, 2 * d)
         # ev = [z | predictor's clamp argument | f(z) | state's clamp argument]

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fpds
-from fpds.cli import EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
+from fpds.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                      build_parser, run)
 
 
 def capture(argv):
@@ -200,17 +201,39 @@ def test_seed_env_default(monkeypatch):
     assert a == c
 
 
+def _bad_seed(value):
+    # a bad seed is a parse error, printed with the usage line
+    return ("argument --seed: seed must be a nonnegative integer (--seed or FPDS_SEED), "
+            f"got {value!r}\n" + build_parser().format_usage().rstrip("\n"))
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sweep", "example-4.1", "--samples", "1"],
      "--samples must be >= 2 (the two interval vertices)"),
     (["sweep", "example-4.1", "--x0", "1,2"], "initial state length mismatch"),
     (["envelope", "example-4.1", "--y0", "1"], "initial state length mismatch"),
+    pytest.param(["equilibrium", "example-4.2", "--weights", "2,1", "--selector", "random",
+                  "--seed", "-1"], _bad_seed("-1"), id="negative-seed"),
+    pytest.param(["simulate", "example-4.2", "--seed", "1.5"], _bad_seed("1.5"),
+                 id="non-integer-seed"),
 ])
 def test_usage_checked_before_weights_are_found(argv, message):
     # only the usage error is printed, not the "weights: auto" line
     code, text = capture(argv)
     assert code == EXIT_USAGE
     assert text == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["sweep", "example-4.1", "--samples", "3"], "-3"),
+    (["certify", "example-4.2", "--weights", "2,1"], "abc"),
+])
+def test_bad_seed_default_is_usage_error(monkeypatch, argv, value):
+    # FPDS_SEED is the --seed default and is checked like a given --seed
+    monkeypatch.setenv("FPDS_SEED", value)
+    code, text = capture(argv)
+    assert code == EXIT_USAGE
+    assert text == f"usage error: {_bad_seed(value)}\n"
 
 
 def test_unstable_step_is_numeric_error_without_warnings():

@@ -532,10 +532,10 @@ def _random_spec(d, seed):
     ))
 
 
-@pytest.mark.parametrize("d", [16, 24])
+@pytest.mark.parametrize("d", [16, 24, fpds.fde.AFFINE_DIM])
 def test_larger_systems_run_shorter_blocks_that_match_direct_pece(monkeypatch, d):
     # above d = 5 a block holds at most BLOCK_SIZE // d rows, so that its
-    # resolvent stays small
+    # product stays small; AFFINE_DIM is the largest system run in blocks
     seen = _count_block_rows(monkeypatch)
     spec = _random_spec(d, seed=d)
     real = fpds.sample_realization(spec, "random", seed=1)
@@ -545,3 +545,27 @@ def test_larger_systems_run_shorter_blocks_that_match_direct_pece(monkeypatch, d
     assert np.abs(traj.states - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
     assert sum(kept for _, kept in seen) > 250
     assert max(rows for rows, _ in seen) == fpds.fde.BLOCK_SIZE // d
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 64])
+def test_strip_solves_the_block_recurrence(monkeypatch, rows):
+    # the strip's product for example-4.1's first pattern pair against
+    # forward substitution F_r = G_r + sum_{l=1..r} K_l F_{r-l}
+    made = []
+    linear = fpds.fde._Linear
+    monkeypatch.setattr(fpds.fde, "_Linear", lambda *args: made.append(args) or linear(*args))
+    spec = fpds.builtin_scenario("example-4.1")
+    real = fpds.sample_realization(spec, "lower")
+    integrate(spec, real, StateVector(x=spec.box1.midpoint(), y=spec.box2.midpoint()),
+              20.0, 4000)
+    lin = linear(*made[0])
+    d = spec.n + spec.m
+    G = np.random.default_rng(rows).standard_normal((rows, d))
+    lin.solve(G[:1], np.empty((1, d)))        # the strip grows in two steps, as in blocks
+    got = np.empty((rows, d))
+    lin.solve(G, got)
+    ref = G.copy()
+    for r in range(rows):
+        for l in range(1, r + 1):
+            ref[r] += lin.K[l - 1] @ ref[r - l]
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
