@@ -214,36 +214,40 @@ def build_parser() -> _Parser:
                                  "projection networks with Caputo dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, selector=True, sim=False):
+    def common(p, *options):
+        # each subcommand names the options its command reads, and no others
         p.add_argument("scenario", help="builtin scenario name or spec-file path")
-        p.add_argument("--weights", help="comma-separated mu then tau (length n+m)")
-        p.add_argument("--seed", type=_seed, default=os.environ.get("FPDS_SEED", "0"))
-        p.add_argument("--tol", type=float, default=1e-10)
-        if selector:
+        if "weights" in options:
+            p.add_argument("--weights", help="comma-separated mu then tau (length n+m)")
+        if "seed" in options:
+            p.add_argument("--seed", type=_seed, default=os.environ.get("FPDS_SEED", "0"))
+        if "tol" in options:
+            p.add_argument("--tol", type=float, default=1e-10)
+        if "selector" in options:
             p.add_argument("--selector", choices=SELECTORS, default="lower")
-        if sim:
+        if "sim" in options:
             p.add_argument("--t-end", type=float, default=20.0)
             p.add_argument("--steps", type=int, default=4000)
             p.add_argument("--x0", help="comma-separated initial x (default box midpoints)")
             p.add_argument("--y0", help="comma-separated initial y (default box midpoints)")
 
     common(sub.add_parser("certify", help="evaluate the stability certificate"),
-           selector=False)
+           "weights")
 
     p_eq = sub.add_parser("equilibrium", help="compute the equilibrium point")
-    common(p_eq)
+    common(p_eq, "weights", "seed", "tol", "selector")
     p_eq.add_argument("--max-iter", type=int, default=100_000)
 
     p_sim = sub.add_parser("simulate", help="integrate and write a CSV trajectory")
-    common(p_sim, sim=True)
+    common(p_sim, "seed", "selector", "sim")
     p_sim.add_argument("-o", "--output", help="CSV output path (default stdout)")
 
     p_env = sub.add_parser("envelope", help="simulate and verify the decay envelope")
-    common(p_env, sim=True)
+    common(p_env, "weights", "seed", "tol", "selector", "sim")
     p_env.add_argument("--slack", type=float, default=0.05)
 
     p_sweep = sub.add_parser("sweep", help="envelope-check sampled realizations")
-    common(p_sweep, selector=False, sim=True)
+    common(p_sweep, "weights", "seed", "tol", "sim")
     p_sweep.add_argument("--slack", type=float, default=0.05)
     p_sweep.add_argument("--samples", type=int, default=10)
     return parser

@@ -30,7 +30,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 _BETA_MAX = 25.0         # the contour's round-off control fails beyond about 30
 _LOG_EPS = math.log(1e-15)                         # target accuracy
@@ -40,11 +39,20 @@ _CHUNK = 1024            # arguments per broadcast block: temporaries stay small
 
 
 def recip_gamma(x: float) -> float:
-    """1/Gamma(x), entire in x; exactly 0 at the poles x = 0, -1, -2, ..."""
+    """1/Gamma(x), entire in x; exactly 0 at the poles x = 0, -1, -2, ...
+
+    Past x = 171.62 Gamma overflows; 1/Gamma is then exp(-lgamma(x)), which
+    goes subnormal and then 0. Below about -171 Gamma is subnormal and
+    1/Gamma overflows: wherever the true value is beyond the float range the
+    result is inf with the sign of Gamma."""
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         return 0.0
-    return float(_sp.rgamma(x))
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return math.exp(-math.lgamma(x))
+    return 1.0 / g if g != 0.0 else math.copysign(math.inf, g)
 
 
 def _series_positive(alpha: float, beta: float, z: float) -> float:

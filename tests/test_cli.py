@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -226,7 +227,7 @@ def test_usage_checked_before_weights_are_found(argv, message):
 
 @pytest.mark.parametrize("argv,value", [
     (["sweep", "example-4.1", "--samples", "3"], "-3"),
-    (["certify", "example-4.2", "--weights", "2,1"], "abc"),
+    (["equilibrium", "example-4.2", "--weights", "2,1"], "abc"),
 ])
 def test_bad_seed_default_is_usage_error(monkeypatch, argv, value):
     # FPDS_SEED is the --seed default and is checked like a given --seed
@@ -234,6 +235,20 @@ def test_bad_seed_default_is_usage_error(monkeypatch, argv, value):
     code, text = capture(argv)
     assert code == EXIT_USAGE
     assert text == f"usage error: {_bad_seed(value)}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "example-4.2", "--weights", "2,1", "--seed", "3"],
+    ["certify", "example-4.2", "--weights", "2,1", "--tol", "1e-8"],
+    ["simulate", "example-4.2", "--weights", "2,1"],
+    ["simulate", "example-4.2", "--tol", "1e-8"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv):
+    # certify reads no seed or tolerance, simulate no weights or tolerance
+    code, text = capture(argv)
+    assert code == EXIT_USAGE
+    assert text == (f"usage error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+                    + build_parser().format_usage())
 
 
 def test_unstable_step_is_numeric_error_without_warnings():
@@ -250,6 +265,26 @@ def test_unstable_step_is_numeric_error_without_warnings():
     assert text == f"numerical failure: {exc.value}\n"
     assert exc.value.h == 5.0
     assert exc.value.step == 299
+
+
+def test_every_command_runs_without_scipy():
+    # numpy and the standard library are the package's only imports
+    script = textwrap.dedent("""
+        import io, json, sys
+        from fpds.cli import run
+        codes = [run(argv.split(), out=io.StringIO()) for argv in (
+            "certify example-4.1", "equilibrium example-4.1",
+            "simulate example-4.1 --steps 500", "envelope example-4.1",
+            "sweep example-4.1 --samples 3")]
+        print(json.dumps([codes, [m for m in sys.modules if m.split(".")[0] == "scipy"]]))
+    """)
+    src = str(Path(fpds.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == [[EXIT_OK] * 5, []]
 
 
 @pytest.mark.parametrize("module", ["fpds", "fpds.cli"])

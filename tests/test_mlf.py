@@ -31,6 +31,33 @@ def test_recip_gamma_recurrence():
                                                      rel=1e-13, abs=1e-300)
 
 
+def test_recip_gamma_against_mpmath_over_both_ranges():
+    # non-integers on (-200, 200), with points where Gamma leaves the float
+    # range: 1/Gamma is subnormal past 171.62, and overflows below about -171
+    edges = [171.62, 171.65, 172.3, 180.5, -170.9, -171.0001, -171.5,
+             -172.0007, -182.5, -199.5]
+    xs = np.concatenate([np.random.default_rng(11).uniform(-200.0, 200.0, 4000), edges])
+    tiny = np.finfo(float).tiny
+    with mp.workdps(40):
+        want = [float(mp.rgamma(x)) for x in xs]
+    for x, expect in zip(xs, want):
+        assert x != math.floor(x)
+        got = recip_gamma(x)
+        if math.isinf(expect):
+            assert got == expect, x
+        elif abs(expect) >= tiny:
+            assert abs(got - expect) <= 2e-15 * abs(expect), x
+        else:       # subnormal: exp(-lgamma) carries lgamma's absolute error
+            assert abs(got - expect) <= 1e-13 * tiny, x
+
+
+def test_recip_gamma_against_scipy_inside_the_float_range():
+    # scipy's rgamma is itself wrong beyond +-170 (-inf at -170.9, 0 at 171.65)
+    xs = np.random.default_rng(12).uniform(-170.0, 170.0, 4000)
+    got = np.array([recip_gamma(x) for x in xs])
+    np.testing.assert_allclose(got, sp.rgamma(xs), rtol=4e-15, atol=0.0)
+
+
 # --------------------------------------------------- closed-form special cases
 
 def test_alpha_one_is_exp():
