@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import Weights, certificate, weighted_norm
+from .certify import Weights, certificate
 from .model import Realization, SpecError, SystemSpec, check_realization
-from .projection import PicardMap, StateVector, _flat
+from .projection import StateVector, _flat, _scaled_step, rhs_form
 
 
 class CertificateError(RuntimeError):
@@ -27,21 +27,19 @@ class Equilibrium:
 
 def residual(spec: SystemSpec, real: Realization, w: Weights,
              s: StateVector) -> float:
-    """Weighted-l1 deviation from the fixed-point relations; zero only at the
-    equilibrium of the given realization."""
-    check_realization(spec, real)
-    return _residual(PicardMap(spec, real.M), w, _flat(spec, s), spec.n)
-
-
-def _residual(P: PicardMap, w: Weights, z: np.ndarray, n: int) -> float:
-    return weighted_norm(w, StateVector.split(P(z) - z, n))
+    """Weighted-l1 norm of the Picard step P(z) - z, zero only at the
+    realization's equilibrium; each call builds the O((n+m)^2) form afresh."""
+    if w.mu.size != spec.n or w.tau.size != spec.m:
+        raise SpecError("dimension mismatch: weights")
+    return float(w.as_array() @ np.abs(_scaled_step(spec, real, s)[1]))
 
 
 def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
                  tol: float = 1e-10, max_iter: int = 100_000,
                  start: StateVector | None = None) -> Equilibrium:
-    """Iterate z <- F(z) until the a posteriori contraction bound certifies
-    that the iterate is within tol of the unique fixed point.
+    """Iterate z <- P(z) until the a posteriori contraction bound certifies
+    that the iterate is within tol of the unique fixed point. Each iteration
+    adds the Picard step P(z) - z, `rhs_form` at unit gains, to z in place.
 
     With contraction modulus kappa the stopping rule is
     ||z_{k+1} - z_k|| <= tol (1 - kappa) / kappa, which guarantees
@@ -61,26 +59,29 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     kappa = cert.kappa
     stop = tol * (1.0 - kappa) / kappa
 
-    P = PicardMap(spec, real.M)
     wz = w.as_array()
     z = spec.blocks.box.midpoint() if start is None else _flat(spec, start)
+    f, q = rhs_form(spec, real.M, np.ones(z.size))     # P(z) - z = f(z) - q
+    step = np.empty(z.size)
     steps: list[float] = []
     converged = False
     for k in range(1, max_iter + 1):
-        z_next = P(z)
-        delta = float(wz @ np.abs(z_next - z))
+        f(z, step)
+        step -= q
+        delta = float(wz @ np.abs(step))
         steps.append(delta)
-        z = z_next
+        z += step
         if delta <= stop:
             converged = True
             break
 
     a_priori = kappa ** k / (1.0 - kappa) * steps[0]
-    point = StateVector.split(z, spec.n)
+    f(z, step)
+    step -= q
     return Equilibrium(
-        point=point,
+        point=StateVector.split(z, spec.n),
         iterations=k,
-        residual=_residual(P, w, z, spec.n),
+        residual=float(wz @ np.abs(step)),
         a_priori_bound=a_priori,
         converged=converged,
         step_norms=np.array(steps),

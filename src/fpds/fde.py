@@ -52,7 +52,7 @@ from .certify import Weights
 from .equilibrium import Equilibrium
 from .mlf import ml_envelope
 from .model import Realization, SpecError, SystemSpec, check_realization
-from .projection import AffineClamp, PicardMap, StateVector, _flat
+from .projection import AffineClamp, StateVector, _flat, rhs_form
 
 
 class IntegrationError(RuntimeError):
@@ -174,9 +174,9 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     (alpha, h, steps) alone and come from one shared, read-only table
     (`_tables`), so a sweep over realizations builds them once. Step k's
     j = 0 terms, the corrector's constant -c_corr q and its far history go
-    into a row base[k]. The realization is checked once, here, and its
-    Picard map built once; f and the corrector term c_corr f are the
-    affine-clamp forms of `PicardMap.rhs_form`.
+    into a row base[k]. The realization is checked once, here; f and the
+    corrector term c_corr f are the affine-clamp forms `rhs_form` builds
+    from the gains and from c_corr times the gains, once per call.
 
     Far history: when the leaf of LEAF steps that ends at step e is done,
     the block [e - s, e), s the lowest set bit of e, is the left half of a
@@ -213,7 +213,6 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     z_init = _flat(spec, z0)
     alpha = spec.alpha
     h = t_end / steps
-    pmap = PicardMap(spec, real.M)
     tab = _tables(alpha, h, steps)
     near = tab.near
 
@@ -231,8 +230,9 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     lags = tab.W[:, : longest - 1]          # the lags within a block
     probe, length = True, 2
     with np.errstate(over="ignore", invalid="ignore"):
-        f, q = pmap.rhs_form()
-        f_corr, q_corr = pmap.rhs_form(tab.c_corr)     # c_corr f = f_corr - q_corr
+        f, q = rhs_form(spec, real.M, spec.gains)
+        # c_corr f = f_corr - q_corr
+        f_corr, q_corr = rhs_form(spec, real.M, tab.c_corr * spec.gains)
         f(z_init, F[0])
         F[0] -= q
         # base[k]: z0 plus the j = 0 terms of step k's predictor and

@@ -44,8 +44,11 @@ def recip_gamma(x: float) -> float:
     Past x = 171.62 Gamma overflows; 1/Gamma is then exp(-lgamma(x)), which
     goes subnormal and then 0. Below about -171 Gamma is subnormal and
     1/Gamma overflows: wherever the true value is beyond the float range the
-    result is inf with the sign of Gamma."""
+    result is inf with the sign of Gamma. recip_gamma(inf) is 0; NaN and
+    -inf, where 1/Gamma has no limit, raise ValueError."""
     x = float(x)
+    if not x > -math.inf:
+        raise ValueError("argument x is NaN" if math.isnan(x) else "argument x is -inf")
     if x <= 0.0 and x == math.floor(x):
         return 0.0
     try:

@@ -35,8 +35,7 @@ class StateVector:
 def _clamp(v: np.ndarray, lo: np.ndarray, hi: np.ndarray,
            out: np.ndarray | None = None) -> np.ndarray:
     """min(max(v, lo), hi) componentwise, into out (a new array by default):
-    the one clamp that project_box, project_implicit, PicardMap and
-    AffineClamp run."""
+    the one clamp that project_box, project_implicit and AffineClamp run."""
     out = np.maximum(v, lo, out=out)
     return np.minimum(out, hi, out=out)
 
@@ -126,80 +125,55 @@ class AffineClamp:
         return lo_p, hi_p
 
 
-class PicardMap:
-    """The Picard map of one realization on the flat state z, built once:
-    P(z) = S z + clamp(z - r (M z + c) - S z, K), the projection of
-    z - r (M z + c) onto the shifted box S z + K (see SystemSpec.blocks).
-
-    The operator is stored stacked as G = [S; I - r M - S] together with r c,
-    so one evaluation is one product G z and one clamp. Calls make no checks:
-    callers validate the state and the realization once, at their entry.
-
-    The dynamics' right-hand side f(z) = g (P(z) - z), g the gains, is
-    evaluated in one affine-clamp form with every constant folded in:
-        f(z) = R_top z - q + clamp(R_bot z, lo', hi'),
-        R = [g (S - I); g (I - r M - S)],  q = g r c,
-        lo' = g (lo + r c),  hi' = g (hi + r c).
-    This is exact in real arithmetic: g > 0, and a positive scale commutes
-    with the clamp. `rhs_form(c)` folds a further positive scale c in the
-    same way, so the integrator's corrector term c f(z) costs no multiply.
-    """
-
-    __slots__ = ("G", "rc", "lo", "hi", "gains", "d")
-
-    def __init__(self, spec: SystemSpec, M: np.ndarray):
-        blk = spec.blocks
-        d = blk.r.size
-        self.G = np.empty((2 * d, d))
-        self.G[:d] = blk.S
-        lower = self.G[d:]           # (I - r M) - S, built in place
+def rhs_form(spec: SystemSpec, M: np.ndarray,
+             g: np.ndarray) -> tuple[AffineClamp, np.ndarray]:
+    """g (P(z) - z) for a vector g > 0, P the Picard map of the realization
+    M, as an AffineClamp A and a shift q with g (P(z) - z) = A(z) - q:
+    R = [g (S - I); g (I - r M - S)], bounds g (lo + r c) and g (hi + r c),
+    q = g r c, exact because a positive scale commutes with the clamp. With
+    g the gains it is the dynamics' right-hand side; with g = 1 the Picard
+    step, P(z) = z + A(z) - q. It makes no checks. A folded bound that
+    overflows is infinite, which clamps every finite value as the exact
+    bound would."""
+    blk = spec.blocks
+    d = blk.r.size
+    rc = blk.r * blk.c
+    with np.errstate(over="ignore"):
+        R = np.empty((2 * d, d))
+        R[:d] = blk.S
+        R.flat[: d * d : d + 1] -= 1.0          # S - I in the top block
+        lower = R[d:]                           # (I - r M) - S, built in place
         np.multiply(-blk.r[:, None], M, out=lower)
         lower.flat[:: d + 1] += 1.0
         lower -= blk.S
-        self.rc = blk.r * blk.c
-        self.lo, self.hi = blk.box.lo, blk.box.hi
-        self.gains = spec.gains
-        self.d = d
+        R *= np.concatenate([g, g])[:, None]
+        return AffineClamp(R, g * (blk.box.lo + rc), g * (blk.box.hi + rc)), g * rc
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        g = self.G @ z
-        d = self.d
-        return g[:d] + _clamp(g[d:] - self.rc, self.lo, self.hi)
 
-    def rhs_form(self, scale: float = 1.0) -> tuple[AffineClamp, np.ndarray]:
-        """scale * f as an AffineClamp A and a shift q with
-        scale * f(z) = A(z) - q, from g = scale * gains. A folded bound that
-        overflows is infinite, which clamps every finite value as the exact
-        bound would."""
-        d = self.d
-        g = scale * self.gains
-        with np.errstate(over="ignore"):
-            R = self.G.copy()
-            R.flat[: d * d : d + 1] -= 1.0          # S - I in the top block
-            R *= np.concatenate([g, g])[:, None]
-            form = AffineClamp(R, g * (self.lo + self.rc), g * (self.hi + self.rc))
-            return form, g * self.rc
-
-    def rhs(self, z: np.ndarray) -> np.ndarray:
-        """The dynamics' right-hand side gains * (P(z) - z), evaluated in the
-        affine-clamp form."""
-        form, q = self.rhs_form()
-        out = form(z, np.empty(self.d))
-        out -= q
-        return out
+def _scaled_step(spec: SystemSpec, real: Realization, s: StateVector,
+                 g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The flat state z and g (P(z) - z), g = 1 by default, once the
+    realization and the state are checked."""
+    check_realization(spec, real)
+    z = _flat(spec, s)
+    f, q = rhs_form(spec, real.M, np.ones(z.size) if g is None else g)
+    out = f(z, np.empty(z.size))
+    out -= q
+    return z, out
 
 
 def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
     """One application of the fixed-point map whose fixed points are equilibria:
     P_{S z + K}[z - r (M z + c)] on z = (x, y) with K = K1 x K2, in the block
-    form of SystemSpec.blocks. Gains are not applied here (positive gains do
-    not move the fixed point).
-    """
-    check_realization(spec, real)
-    return StateVector.split(PicardMap(spec, real.M)(_flat(spec, s)), spec.n)
+    form of SystemSpec.blocks, as z plus `rhs_form` at unit gains. Gains are
+    not applied (positive gains do not move the fixed point). Each call
+    builds the O((n+m)^2) form afresh."""
+    z, step = _scaled_step(spec, real, s)
+    step += z
+    return StateVector.split(step, spec.n)
 
 
 def rhs(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
-    """Right-hand side of the projected dynamics, per-equation gains applied."""
-    check_realization(spec, real)
-    return StateVector.split(PicardMap(spec, real.M).rhs(_flat(spec, s)), spec.n)
+    """The dynamics' right-hand side gains * (P(z) - z) by `rhs_form`; each
+    call builds the O((n+m)^2) form afresh."""
+    return StateVector.split(_scaled_step(spec, real, s, spec.gains)[1], spec.n)

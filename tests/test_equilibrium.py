@@ -154,3 +154,36 @@ def test_single_iteration_bound(ex42, w42):
     eq = picard_solve(ex42, real, w42, tol=1e-12, max_iter=1)
     assert eq.iterations == 1 and eq.step_norms.size == 1
     assert eq.a_priori_bound == kappa / (1.0 - kappa) * eq.step_norms[0]
+
+
+@pytest.mark.parametrize("scenario,gains", [("traffic-gstm", [1.0, 1.0, 2.0, 1.0]),
+                                            ("example-4.1", [0.3, 2.0, 1.7, 0.9, 5.0])])
+def test_picard_solve_ignores_the_gains(scenario, gains):
+    # the Picard step is the unit-gain form: a solver that built it from
+    # the gains would move every iterate
+    unit = fpds.builtin_scenario(scenario)
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    w = fpds.find_weights(unit)
+    for selector in ("lower", "upper", "random"):
+        real = fpds.sample_realization(unit, selector, seed=4)
+        want = picard_solve(unit, real, w)
+        got = picard_solve(spec, real, w)
+        np.testing.assert_array_equal(got.point.as_array(), want.point.as_array())
+        assert got.iterations == want.iterations
+        np.testing.assert_array_equal(got.step_norms, want.step_norms)
+
+
+@pytest.mark.parametrize("selector", ["lower", "upper", "random"])
+@pytest.mark.parametrize("scenario", fpds.BUILTIN_NAMES)
+def test_picard_solve_matches_iteration_through_project_implicit(scenario, selector):
+    # the same number of steps of z <- project_implicit(S, K, z, z - r (M z + c))
+    # from the box midpoint reach the solver's point up to rounding
+    spec = fpds.builtin_scenario(scenario)
+    blk = spec.blocks
+    real = fpds.sample_realization(spec, selector, seed=6)
+    eq = picard_solve(spec, real, fpds.find_weights(spec))
+    z = blk.box.midpoint()
+    for _ in range(eq.iterations):
+        z = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real.M @ z + blk.c))
+    got = eq.point.as_array()
+    assert np.abs(got - z).max() <= 1e-14 * np.abs(got).max()

@@ -336,11 +336,10 @@ def test_picard_map_and_rhs_match_project_implicit(scenario, gains, selector):
 def _direct_pece(spec, real, z0, t_end, steps):
     """The PECE loop step by step, each step summing its whole history with
     one product over reversed, stacked weights, and the right-hand side in
-    the affine-clamp form of `PicardMap.rhs_form`; the first non-finite
+    the affine-clamp forms of `projection.rhs_form`; the first non-finite
     state, found by one scan after the loop, raises IntegrationError."""
     alpha = spec.alpha
     h = t_end / steps
-    pmap = fpds.projection.PicardMap(spec, real.M)
     idx = np.arange(steps + 2, dtype=float)
     pa = idx ** alpha
     pa1 = idx ** (alpha + 1.0)
@@ -359,8 +358,8 @@ def _direct_pece(spec, real, z0, t_end, steps):
     y = np.empty((2, z0.size))
     pred, corr = y
     with np.errstate(over="ignore", invalid="ignore"):
-        f, q = pmap.rhs_form()
-        f_corr, q_corr = pmap.rhs_form(c_corr)
+        f, q = fpds.projection.rhs_form(spec, real.M, spec.gains)
+        f_corr, q_corr = fpds.projection.rhs_form(spec, real.M, c_corr * spec.gains)
         f(z0, F[0])
         F[0] -= q
         base = z0 + J0[:, :, None] * F[0]

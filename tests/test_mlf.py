@@ -15,11 +15,19 @@ def test_recip_gamma_known_values():
     assert recip_gamma(2.0) == pytest.approx(1.0, rel=1e-15)
     assert recip_gamma(5.0) == pytest.approx(1.0 / 24.0, rel=1e-15)
     assert recip_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+    assert recip_gamma(math.inf) == 0.0
 
 
 @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0, -100.0])
 def test_recip_gamma_poles_are_exact_zero(x):
     assert recip_gamma(x) == 0.0
+
+
+@pytest.mark.parametrize("x,match", [(math.nan, "argument x is NaN"),
+                                     (-math.inf, "argument x is -inf")])
+def test_recip_gamma_rejects_nan_and_minus_inf(x, match):
+    with pytest.raises(ValueError, match=match):
+        recip_gamma(x)
 
 
 def test_recip_gamma_recurrence():
@@ -95,9 +103,13 @@ def _ml_mpmath(alpha, beta, z):
         acc = mp.mpf(0)
         zk = mp.mpf(1)
         zz = mp.mpf(z)
+        big = mp.mpf(2) ** 1024
         for k in range(20_000):
             term = zk / mp.gamma(aa * k + bb)
             acc += term
+            if z > 0 and acc > big:
+                # every term is positive, so float(acc) is inf from here on
+                break
             if k * alpha > 2 * u + 10 and abs(term) < mp.mpf(10) ** (-60 - int(u)):
                 break
             zk *= zz

@@ -212,6 +212,8 @@ def test_mis_split_weights_rejected(ex41, w41):
     bad = fpds.Weights(mu=np.ones(4), tau=np.ones(1))
     with pytest.raises(ValueError):
         fpds.weighted_norm(bad, s)
+    with pytest.raises(fpds.SpecError, match="dimension mismatch: weights"):
+        fpds.residual(ex41, real, bad, s)
     eq = fpds.picard_solve(ex41, real, w41)
     traj = fpds.integrate(ex41, real, s, 1.0, 10)
     with pytest.raises(fpds.SpecError, match="dimension mismatch: weights"):
@@ -235,7 +237,7 @@ def test_affine_form_of_a_pattern_matches_the_clamp(scenario, gains):
     # clamp form, and the clamp argument lies in the pattern's region
     spec = fpds.builtin_scenario(scenario, gains=gains)
     real = fpds.sample_realization(spec, "random", seed=7)
-    form, _ = fpds.projection.PicardMap(spec, real.M).rhs_form(0.7)
+    form, _ = fpds.projection.rhs_form(spec, real.M, 0.7 * spec.gains)
     d = spec.n + spec.m
     mid = spec.blocks.box.midpoint()
     rng = np.random.default_rng(29)
