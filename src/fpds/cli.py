@@ -11,8 +11,7 @@ from . import scenarios
 from .certify import Weights, certificate, find_weights
 from .equilibrium import CertificateError, picard_solve
 from .fde import IntegrationError, envelope_check, integrate
-from .model import (SELECTORS, Realization, SpecError, SystemSpec,
-                    sample_realization, validate_system)
+from .model import SELECTORS, Realization, SpecError, SystemSpec, sample_realization
 from .projection import StateVector
 
 EXIT_OK = 0
@@ -84,30 +83,27 @@ def _resolve_weights(spec: SystemSpec, weights_arg: str | None,
 
 
 def _initial_state(spec: SystemSpec, x0: str | None, y0: str | None) -> StateVector:
-    x = _parse_floats(x0) if x0 else spec.box1.midpoint()
-    y = _parse_floats(y0) if y0 else spec.box2.midpoint()
+    x = spec.box1.midpoint() if x0 is None else _parse_floats(x0)
+    y = spec.box2.midpoint() if y0 is None else _parse_floats(y0)
     if x.size != spec.n or y.size != spec.m:
         raise UsageError("initial state length mismatch")
     return StateVector(x=x, y=y)
 
 
 def _write_csv(traj, spec: SystemSpec, path: str | None, out) -> None:
-    header = "t," + ",".join(
-        [f"x{i + 1}" for i in range(spec.n)] + [f"y{j + 1}" for j in range(spec.m)]
-    )
-    lines = [header]
-    for k in range(traj.times.size):
-        row = [traj.times[k]] + list(traj.states[k])
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+    names = (["t"] + [f"x{i + 1}" for i in range(spec.n)]
+             + [f"y{j + 1}" for j in range(spec.m)])
+    np.savetxt(path or out, np.column_stack([traj.times, traj.states]), fmt="%.17g",
+               delimiter=",", header=",".join(names), comments="")
 
 
-def _print_certificate(cert, out) -> None:
+def _cmd_certify(args, out) -> int:
+    spec = _load_scenario(args.scenario)
+    w = _resolve_weights(spec, args.weights, out)
+    if w is None:
+        print("FAIL", file=out)
+        return EXIT_FAIL
+    cert = certificate(spec, w)
     print(f"a2_margins: {_fmt_vec(cert.a2_margins)}", file=out)
     print(f"a3_margins: {_fmt_vec(cert.a3_margins)}", file=out)
     print(f"xi:         {_fmt_vec(cert.xi)}", file=out)
@@ -118,16 +114,6 @@ def _print_certificate(cert, out) -> None:
     if cert.gains_warning:
         print("warning: certificate ignores non-unit gains", file=out)
     print("pass" if cert.passed else "FAIL", file=out)
-
-
-def _cmd_certify(args, out) -> int:
-    spec = _load_scenario(args.scenario)
-    w = _resolve_weights(spec, args.weights, out)
-    if w is None:
-        print("FAIL", file=out)
-        return EXIT_FAIL
-    cert = certificate(spec, w)
-    _print_certificate(cert, out)
     return EXIT_OK if cert.passed else EXIT_FAIL
 
 
@@ -157,24 +143,33 @@ def _cmd_simulate(args, out) -> int:
     return EXIT_OK
 
 
-def _run_envelope(spec: SystemSpec, real: Realization, w: Weights, z0: StateVector,
-                  args):
-    cert = certificate(spec, w)
-    if not cert.passed:
-        raise CertificateError("certificate fails")
-    eq = picard_solve(spec, real, w, tol=args.tol)
-    traj = integrate(spec, real, z0, args.t_end, args.steps)
-    return envelope_check(traj, eq, w, cert.theta, slack=args.slack)
-
-
-def _cmd_envelope(args, out) -> int:
+def _envelope_checker(args, out):
+    """(spec, check) for an envelope or sweep run, or None if no weights are
+    found; check(real) runs picard_solve, integrate and envelope_check. The
+    certificate does not depend on the realization, so it is checked here,
+    once per run, and its θ serves every check."""
     spec = _load_scenario(args.scenario)
     z0 = _initial_state(spec, args.x0, args.y0)
     w = _resolve_weights(spec, args.weights, out)
     if w is None:
+        return None
+    cert = certificate(spec, w)
+    if not cert.passed:
+        raise CertificateError("certificate fails")
+
+    def check(real: Realization):
+        eq = picard_solve(spec, real, w, tol=args.tol)
+        traj = integrate(spec, real, z0, args.t_end, args.steps)
+        return envelope_check(traj, eq, w, cert.theta, slack=args.slack)
+    return spec, check
+
+
+def _cmd_envelope(args, out) -> int:
+    checker = _envelope_checker(args, out)
+    if checker is None:
         return EXIT_FAIL
-    real = sample_realization(spec, args.selector, seed=args.seed)
-    report = _run_envelope(spec, real, w, z0, args)
+    spec, check = checker
+    report = check(sample_realization(spec, args.selector, seed=args.seed))
     print(f"v0:         {_fmt(report.v0)}", file=out)
     print(f"theta:      {_fmt(report.theta)}", file=out)
     print(f"max_ratio:  {_fmt(report.max_ratio)}", file=out)
@@ -186,26 +181,23 @@ def _cmd_envelope(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     if args.samples < 2:
         raise UsageError("--samples must be >= 2 (the two interval vertices)")
-    spec = _load_scenario(args.scenario)
-    z0 = _initial_state(spec, args.x0, args.y0)
-    w = _resolve_weights(spec, args.weights, out)
-    if w is None:
+    checker = _envelope_checker(args, out)
+    if checker is None:
         return EXIT_FAIL
-    reals = [sample_realization(spec, "lower"), sample_realization(spec, "upper")]
-    reals += [sample_realization(spec, "random", seed=args.seed + i)
-              for i in range(args.samples - 2)]
-    labels = ["lower", "upper"] + [f"random[{args.seed + i}]"
-                                   for i in range(args.samples - 2)]
-    failures = 0
-    for i, (real, label) in enumerate(zip(reals, labels)):
-        report = _run_envelope(spec, real, w, z0, args)
+    spec, check = checker
+    # (label, selector, seed); each realization is sampled when its turn comes
+    samples = [("lower", "lower", None), ("upper", "upper", None)] + [
+        (f"random[{seed}]", "random", seed)
+        for seed in range(args.seed, args.seed + args.samples - 2)]
+    passed = 0
+    for i, (label, selector, seed) in enumerate(samples):
+        report = check(sample_realization(spec, selector, seed=seed))
+        passed += report.passed
         verdict = "pass" if report.passed else "FAIL"
-        if not report.passed:
-            failures += 1
         print(f"sample {i:3d} {label:16s} max_ratio={_fmt(report.max_ratio)} "
               f"violations={report.violations} {verdict}", file=out)
-    print(f"summary: {len(reals) - failures}/{len(reals)} passed", file=out)
-    return EXIT_OK if failures == 0 else EXIT_FAIL
+    print(f"summary: {passed}/{len(samples)} passed", file=out)
+    return EXIT_OK if passed == len(samples) else EXIT_FAIL
 
 
 def build_parser() -> _Parser:
@@ -214,8 +206,10 @@ def build_parser() -> _Parser:
                                  "projection networks with Caputo dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *options):
+    def command(name, handler, help, *options):
         # each subcommand names the options its command reads, and no others
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("scenario", help="builtin scenario name or spec-file path")
         if "weights" in options:
             p.add_argument("--weights", help="comma-separated mu then tau (length n+m)")
@@ -230,36 +224,23 @@ def build_parser() -> _Parser:
             p.add_argument("--steps", type=int, default=4000)
             p.add_argument("--x0", help="comma-separated initial x (default box midpoints)")
             p.add_argument("--y0", help="comma-separated initial y (default box midpoints)")
+        if "slack" in options:
+            p.add_argument("--slack", type=float, default=0.05)
+        return p
 
-    common(sub.add_parser("certify", help="evaluate the stability certificate"),
-           "weights")
-
-    p_eq = sub.add_parser("equilibrium", help="compute the equilibrium point")
-    common(p_eq, "weights", "seed", "tol", "selector")
-    p_eq.add_argument("--max-iter", type=int, default=100_000)
-
-    p_sim = sub.add_parser("simulate", help="integrate and write a CSV trajectory")
-    common(p_sim, "seed", "selector", "sim")
-    p_sim.add_argument("-o", "--output", help="CSV output path (default stdout)")
-
-    p_env = sub.add_parser("envelope", help="simulate and verify the decay envelope")
-    common(p_env, "weights", "seed", "tol", "selector", "sim")
-    p_env.add_argument("--slack", type=float, default=0.05)
-
-    p_sweep = sub.add_parser("sweep", help="envelope-check sampled realizations")
-    common(p_sweep, "weights", "seed", "tol", "sim")
-    p_sweep.add_argument("--slack", type=float, default=0.05)
-    p_sweep.add_argument("--samples", type=int, default=10)
+    command("certify", _cmd_certify, "evaluate the stability certificate", "weights")
+    command("equilibrium", _cmd_equilibrium, "compute the equilibrium point",
+            "weights", "seed", "tol", "selector").add_argument(
+                "--max-iter", type=int, default=100_000)
+    command("simulate", _cmd_simulate, "integrate and write a CSV trajectory",
+            "seed", "selector", "sim").add_argument(
+                "-o", "--output", help="CSV output path (default stdout)")
+    command("envelope", _cmd_envelope, "simulate and verify the decay envelope",
+            "weights", "seed", "tol", "selector", "sim", "slack")
+    command("sweep", _cmd_sweep, "envelope-check sampled realizations",
+            "weights", "seed", "tol", "sim", "slack").add_argument(
+                "--samples", type=int, default=10)
     return parser
-
-
-_COMMANDS = {
-    "certify": _cmd_certify,
-    "equilibrium": _cmd_equilibrium,
-    "simulate": _cmd_simulate,
-    "envelope": _cmd_envelope,
-    "sweep": _cmd_sweep,
-}
 
 
 def run(argv: list[str] | None = None, out=None) -> int:
@@ -272,7 +253,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
         parser.print_usage(out)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args, out)
+        return args.handler(args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=out)
         return EXIT_USAGE

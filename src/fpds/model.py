@@ -195,7 +195,8 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
     (box bounds too: the default start is the box midpoint). The scaled blocks
     r M_lo, r M_hi and the coupling T of `SystemSpec.blocks`, which this
     builds, must be finite too.
-    Validation is idempotent; m = 0 systems (no y block) are accepted.
+    Validation is idempotent; m = 0 systems (no y block) are accepted, with
+    lambda > 0 like any other.
     """
     if spec.n < 1:
         raise SpecError("dimension mismatch: n must be >= 1")
@@ -211,7 +212,7 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
         raise SpecError("alpha outside (0, 1]")
     if spec.rho <= 0.0:
         raise SpecError("nonpositive rho")
-    if spec.m > 0 and spec.lam <= 0.0:
+    if spec.lam <= 0.0:
         raise SpecError("nonpositive lambda")
     for name, _, _ in BLOCKS:
         im = getattr(spec, name)

@@ -10,8 +10,6 @@ from .certify import Weights
 from .model import (BLOCKS, BoxSet, IntervalMatrix, ShiftMap, SpecError,
                     SystemSpec, validate_system)
 
-BUILTIN_NAMES = ("example-4.1", "example-4.2", "traffic-gstm")
-
 # Illustrative interval bounds for the traffic tatonnement scenario: the
 # per-arc cost slopes l_m and the (negative) demand slope r are user data in
 # this model, so the shipped defaults are a sample choice, not measured data.
@@ -99,21 +97,20 @@ def _traffic_gstm() -> SystemSpec:
     )
 
 
+_BUILTINS = {"example-4.1": _example_41, "example-4.2": _example_42,
+             "traffic-gstm": _traffic_gstm}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_scenario(name: str, gains=None) -> SystemSpec:
     """Return one of the shipped scenarios by name.
 
     gains (per-equation positive multipliers, length n+m) apply to every
     scenario; None means unit gains.
     """
-    if name == "example-4.1":
-        spec = _example_41()
-    elif name == "example-4.2":
-        spec = _example_42()
-    elif name == "traffic-gstm":
-        spec = _traffic_gstm()
-    else:
+    if name not in _BUILTINS:
         raise SpecError(f"unknown scenario {name!r}")
-    return validate_system(dataclasses.replace(spec, gains=gains))
+    return validate_system(dataclasses.replace(_BUILTINS[name](), gains=gains))
 
 
 def serialize(spec: SystemSpec, weights: Weights | None = None) -> str:
@@ -152,22 +149,20 @@ def _shaped(data, rows: int, cols: int) -> np.ndarray:
 
 
 def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | None]:
-    """Parse a spec-file JSON document; dimensions are explicit and never
-    inferred from array lengths. Returns the validated system plus optional
-    weights carried in the file."""
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
+    """Parse a spec-file JSON document; dimensions are explicit JSON integers,
+    never inferred from array lengths, and every field but gains and weights
+    is required. Returns the validated system plus optional weights carried
+    in the file."""
     try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"parse error: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise SpecError("parse error: top-level value must be an object")
-
-    try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-        dims = (n, m)
+        if not isinstance(doc, dict):
+            raise SpecError("parse error: top-level value must be an object")
+        n, m = dims = doc["n"], doc["m"]
+        for key, value in zip("nm", dims):
+            if type(value) is not int:      # a JSON integer: not a bool, float or string
+                raise SpecError(f"parse error: {key} must be an integer, got {value!r}")
         intervals = doc["intervals"]
         shifts = doc["shifts"]
         boxes = doc["boxes"]
@@ -175,7 +170,7 @@ def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | No
             n=n, m=m,
             alpha=float(doc["alpha"]),
             rho=float(doc["rho"]),
-            lam=float(doc.get("lambda", 1.0)),
+            lam=float(doc["lambda"]),
             a=doc["a"], b=doc["b"],
             **{name: IntervalMatrix(
                 _shaped(intervals[name]["lower"], dims[r], dims[c]),
@@ -186,19 +181,19 @@ def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | No
             box2=BoxSet(lo=boxes["box2"]["lo"], hi=boxes["box2"]["hi"]),
             gains=doc.get("gains"),
         )
+        weights = None
+        if "weights" in doc:
+            weights = Weights(mu=doc["weights"]["mu"], tau=doc["weights"]["tau"])
+            if weights.mu.size != n or weights.tau.size != m:
+                raise SpecError("parse error: weights length mismatch")
+    except SpecError:
+        raise
     except KeyError as exc:
         raise SpecError(f"parse error: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SpecError):
-            raise
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"parse error: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (TypeError, ValueError) as exc:      # UnicodeDecodeError among them
         raise SpecError(f"parse error: {exc}") from exc
-
-    weights = None
-    if "weights" in doc:
-        wdoc = doc["weights"]
-        weights = Weights(mu=wdoc["mu"], tau=wdoc["tau"])
-        if weights.mu.size != n or weights.tau.size != m:
-            raise SpecError("parse error: weights length mismatch")
     # validation builds spec.blocks; release the document and its parse first
     # so that they and the blocks are never held at once
     del document, doc, intervals, shifts, boxes

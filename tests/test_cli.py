@@ -147,6 +147,30 @@ def test_simulate_csv_layout(tmp_path):
     assert len(first) == 6
 
 
+def test_simulate_output_file_holds_the_stdout_bytes(tmp_path):
+    path = tmp_path / "traj.csv"
+    cmd = ["simulate", "example-4.1", "--selector", "random", "--seed", "3",
+           "--t-end", "4", "--steps", "300"]
+    assert capture(cmd + ["-o", str(path)]) == (EXIT_OK, "")
+    code, text = capture(cmd)
+    assert code == EXIT_OK
+    assert path.read_bytes() == text.encode()
+
+
+def test_output_file_in_missing_directory_is_input_error(tmp_path):
+    code, text = capture(["simulate", "example-4.2", "--steps", "50",
+                          "-o", str(tmp_path / "missing" / "traj.csv")])
+    assert code == EXIT_INPUT
+    assert text.startswith("error:")
+
+
+def test_empty_y0_is_the_empty_y_of_an_m_zero_spec():
+    cmd = ["simulate", "example-4.2", "--t-end", "2", "--steps", "50"]
+    code, text = capture(cmd)
+    assert code == EXIT_OK
+    assert capture(cmd + ["--y0", ""]) == (code, text)
+
+
 def test_simulate_stdout_deterministic():
     cmd = ["simulate", "example-4.1", "--selector", "random", "--seed", "7",
            "--t-end", "5", "--steps", "200"]
@@ -181,6 +205,23 @@ def test_sweep_summary():
     assert "summary: 4/4 passed" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["envelope", "example-4.2", "--weights", "2,1", "--selector", "upper"],
+    ["sweep", "example-4.2", "--weights", "2,1", "--samples", "4"],
+])
+def test_certificate_checked_once_per_run(monkeypatch, argv):
+    # the certificate does not depend on the realization
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fpds.certificate(*args, **kwargs)
+
+    monkeypatch.setattr(fpds.cli, "certificate", counted)
+    assert capture(argv + ["--t-end", "5", "--steps", "100"])[0] == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_sweep_deterministic():
     cmd = ["sweep", "example-4.2", "--weights", "2,1", "--samples", "3",
            "--seed", "11", "--t-end", "5", "--steps", "200"]
@@ -213,6 +254,8 @@ def _bad_seed(value):
      "--samples must be >= 2 (the two interval vertices)"),
     (["sweep", "example-4.1", "--x0", "1,2"], "initial state length mismatch"),
     (["envelope", "example-4.1", "--y0", "1"], "initial state length mismatch"),
+    # an empty list is an explicit empty state, not the box midpoint
+    (["envelope", "example-4.1", "--x0", ""], "initial state length mismatch"),
     pytest.param(["equilibrium", "example-4.2", "--weights", "2,1", "--selector", "random",
                   "--seed", "-1"], _bad_seed("-1"), id="negative-seed"),
     pytest.param(["simulate", "example-4.2", "--seed", "1.5"], _bad_seed("1.5"),

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import fpds
 from fpds import (BUILTIN_NAMES, SpecError, Weights, builtin_scenario,
                   certificate, find_weights, load_spec, parse_spec_document,
                   serialize)
+from fpds.cli import EXIT_INPUT, run
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -147,3 +149,51 @@ def test_validation_error_propagates(ex42):
 
 def test_bytes_input(ex42):
     assert load_spec(serialize(ex42).encode()).alpha == ex42.alpha
+
+
+@pytest.mark.parametrize("name,key,value,message", [
+    ("example-4.1", "lambda", None, "parse error: missing field 'lambda'"),
+    ("example-4.2", "n", 2.9, "parse error: n must be an integer, got 2.9"),
+    ("example-4.2", "n", 2.0, "parse error: n must be an integer, got 2.0"),
+    ("example-4.2", "n", "2", "parse error: n must be an integer, got '2'"),
+    ("example-4.2", "m", False, "parse error: m must be an integer, got False"),
+    ("example-4.2", "lambda", -1.0, "nonpositive lambda"),
+    ("example-4.2", "weights", {}, "parse error: missing field 'mu'"),
+    ("example-4.2", "weights", {"mu": [2.0, 1.0], "tau": "x"},
+     "parse error: could not convert string to float: 'x'"),
+    ("example-4.2", "weights", [2.0, 1.0],
+     "parse error: list indices must be integers or slices, not str"),
+], ids=["no-lambda", "float-n", "integral-float-n", "string-n", "bool-m",
+        "m0-negative-lambda", "weights-without-mu", "string-tau", "weights-list"])
+def test_bad_spec_file_is_input_error(tmp_path, name, key, value, message):
+    # lambda has no default, n and m are never truncated or converted,
+    # lambda > 0 holds whether or not there is a y block, and malformed
+    # weights are parse errors; load_spec and `fpds certify <file>` (exit 66)
+    # report the same error
+    doc = json.loads(serialize(builtin_scenario(name)))
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    text = json.dumps(doc)
+    with pytest.raises(SpecError) as exc:
+        load_spec(text)
+    assert str(exc.value) == message
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    out = io.StringIO()
+    assert run(["certify", str(path)], out=out) == EXIT_INPUT
+    assert out.getvalue() == f"error: {message}\n"
+
+
+def test_non_utf8_document_is_a_parse_error(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"n": "\xe9"}')
+    message = ("parse error: 'utf-8' codec can't decode byte 0xe9 in position 7: "
+               "invalid continuation byte")
+    with pytest.raises(SpecError) as exc:
+        load_spec(path.read_bytes())
+    assert str(exc.value) == message
+    out = io.StringIO()
+    assert run(["certify", str(path)], out=out) == EXIT_INPUT
+    assert out.getvalue() == f"error: {message}\n"
