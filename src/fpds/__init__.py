@@ -10,8 +10,7 @@ from .model import (BoxSet, IntervalMatrix, Realization, ShiftMap, SpecError,
                     SystemSpec, check_realization, sample_matrix,
                     sample_realization, validate_system)
 from .projection import StateVector, picard_map, project_box, project_implicit, rhs
-from .scenarios import (BUILTIN_NAMES, builtin_scenario, load_spec,
-                        parse_spec_document, serialize)
+from .scenarios import BUILTIN_NAMES, builtin_scenario, load_spec, serialize
 
 __all__ = [
     "BUILTIN_NAMES", "BoxSet", "Certificate", "CertificateError",
@@ -19,9 +18,8 @@ __all__ = [
     "Realization", "ShiftMap", "SpecError", "StateVector", "SystemSpec",
     "Trajectory", "Weights", "builtin_scenario", "certificate",
     "check_realization", "comparison_system", "envelope_check", "find_weights",
-    "integrate", "load_spec", "mittag_leffler", "ml_envelope",
-    "parse_spec_document", "picard_map", "picard_solve", "project_box",
-    "project_implicit", "recip_gamma", "residual", "rhs", "sample_matrix",
-    "sample_realization", "serialize", "validate_system",
-    "weighted_norm",
+    "integrate", "load_spec", "mittag_leffler", "ml_envelope", "picard_map",
+    "picard_solve", "project_box", "project_implicit", "recip_gamma",
+    "residual", "rhs", "sample_matrix", "sample_realization", "serialize",
+    "validate_system", "weighted_norm",
 ]

@@ -51,8 +51,9 @@ def _fmt_vec(v: np.ndarray) -> str:
 
 
 def _parse_floats(text: str) -> np.ndarray:
+    """Every comma-separated item as a float; only "" is the empty list."""
     try:
-        return np.array([float(p) for p in text.split(",") if p != ""])
+        return np.array([float(p) for p in text.split(",")] if text else [])
     except ValueError as exc:
         raise UsageError(f"bad numeric list {text!r}") from exc
 

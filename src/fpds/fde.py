@@ -73,9 +73,6 @@ class Trajectory:
     alpha: float
     n: int
 
-    def state(self, k: int) -> StateVector:
-        return StateVector.split(self.states[k], self.n)
-
 
 @dataclass(frozen=True)
 class EnvelopeReport:
@@ -89,6 +86,9 @@ class EnvelopeReport:
 # steps per leaf of the divide-and-conquer history sum, which is also the
 # longest piecewise-affine block
 LEAF = 64
+# envelope_check passes a point whose V is at most this, at the level of an
+# equilibrium error, whatever the envelope there
+ZERO_TOL = 1e-9
 # the largest state dimension run in piecewise-affine blocks. A block row
 # costs about (LEAF/2 + rows) d^2 multiply-adds, the resolvent's product
 # multiplying its zero upper triangle too, and each clamp-pattern pair
@@ -411,19 +411,17 @@ class _Linear:
 
 
 def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
-                   slack: float = 0.05, zero_tol: float = 1e-9) -> EnvelopeReport:
+                   slack: float = 0.05) -> EnvelopeReport:
     """Verify V(t_k) <= (1+slack) V(0) E_alpha(-theta t_k^alpha) on the grid,
     where V is the weighted-l1 distance to the equilibrium point.
 
-    A point with V <= zero_tol passes with ratio 0. Any other point has ratio
+    A point with V <= ZERO_TOL passes with ratio 0. Any other point has ratio
     V / envelope (inf where the envelope is 0, as after underflow) and is a
     violation iff V > (1+slack) * envelope."""
     if not 0.0 <= slack < math.inf:
         raise SpecError("slack must be finite and nonnegative")
     if not 0.0 < theta < math.inf:
         raise SpecError("theta must be finite and positive")
-    if not 0.0 <= zero_tol < math.inf:
-        raise SpecError("zero_tol must be finite and nonnegative")
     eq_arr = eq.point.as_array()
     if eq_arr.size != traj.states.shape[1]:
         raise SpecError("dimension mismatch between trajectory and equilibrium")
@@ -432,11 +430,11 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
 
     v = np.abs(traj.states - eq_arr) @ w.as_array()
     v0 = float(v[0])
-    if v0 <= zero_tol:
+    if v0 <= ZERO_TOL:
         env = np.zeros_like(v)
     else:
         env = ml_envelope(traj.alpha, theta, v0, traj.times)
-    live = v > zero_tol
+    live = v > ZERO_TOL
     with np.errstate(divide="ignore", over="ignore"):  # V / 0 and overflow give inf
         ratio = np.divide(v, env, out=np.zeros_like(v), where=live)
     bad = live & (v > (1.0 + slack) * env)

@@ -19,11 +19,9 @@ BLOCKS = (("A", 0, 0), ("Astar", 0, 1), ("B", 1, 1), ("Bstar", 1, 0))
 
 
 def _matrix(a) -> np.ndarray:
-    """a as a read-only float array; an empty one is 0 x 0. Its shape is left
-    for validate_system and check_realization to check against the field's."""
+    """a as a read-only float array. Its shape is left for validate_system
+    and check_realization to check against the field's."""
     out = np.array(a, dtype=float)
-    if out.ndim == 1 and out.size == 0:
-        out = out.reshape(0, 0)
     out.setflags(write=False)
     return out
 
@@ -44,14 +42,6 @@ class IntervalMatrix:
     def __post_init__(self):
         object.__setattr__(self, "lower", _matrix(self.lower))
         object.__setattr__(self, "upper", _matrix(self.upper))
-
-    @property
-    def rows(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.lower.shape[1]
 
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)

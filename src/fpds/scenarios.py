@@ -6,7 +6,6 @@ import json
 
 import numpy as np
 
-from .certify import Weights
 from .model import (BLOCKS, BoxSet, IntervalMatrix, ShiftMap, SpecError,
                     SystemSpec, validate_system)
 
@@ -113,7 +112,7 @@ def builtin_scenario(name: str, gains=None) -> SystemSpec:
     return validate_system(dataclasses.replace(_BUILTINS[name](), gains=gains))
 
 
-def serialize(spec: SystemSpec, weights: Weights | None = None) -> str:
+def serialize(spec: SystemSpec) -> str:
     """Spec-file JSON for a system (round-trips field-exact through repr)."""
     doc = {
         "n": spec.n,
@@ -135,8 +134,6 @@ def serialize(spec: SystemSpec, weights: Weights | None = None) -> str:
         },
         "gains": spec.gains.tolist(),
     }
-    if weights is not None:
-        doc["weights"] = {"mu": weights.mu.tolist(), "tau": weights.tau.tolist()}
     return json.dumps(doc, indent=2)
 
 
@@ -148,11 +145,10 @@ def _shaped(data, rows: int, cols: int) -> np.ndarray:
     return arr.reshape(rows, cols) if arr.size == 0 == rows * cols else arr
 
 
-def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | None]:
-    """Parse a spec-file JSON document; dimensions are explicit JSON integers,
-    never inferred from array lengths, and every field but gains and weights
-    is required. Returns the validated system plus optional weights carried
-    in the file."""
+def load_spec(document: str | bytes) -> SystemSpec:
+    """Parse and validate a spec-file JSON document; dimensions are explicit
+    JSON integers, never inferred from array lengths, and every field but
+    gains is required. Any other key, such as weights, is ignored."""
     try:
         if isinstance(document, bytes):
             document = document.decode("utf-8")
@@ -181,11 +177,6 @@ def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | No
             box2=BoxSet(lo=boxes["box2"]["lo"], hi=boxes["box2"]["hi"]),
             gains=doc.get("gains"),
         )
-        weights = None
-        if "weights" in doc:
-            weights = Weights(mu=doc["weights"]["mu"], tau=doc["weights"]["tau"])
-            if weights.mu.size != n or weights.tau.size != m:
-                raise SpecError("parse error: weights length mismatch")
     except SpecError:
         raise
     except KeyError as exc:
@@ -197,10 +188,4 @@ def parse_spec_document(document: str | bytes) -> tuple[SystemSpec, Weights | No
     # validation builds spec.blocks; release the document and its parse first
     # so that they and the blocks are never held at once
     del document, doc, intervals, shifts, boxes
-    validate_system(spec)
-    return spec, weights
-
-
-def load_spec(document: str | bytes) -> SystemSpec:
-    """Parse and validate a spec-file document, dropping any embedded weights."""
-    return parse_spec_document(document)[0]
+    return validate_system(spec)

@@ -280,3 +280,8 @@ def test_nonpositive_weights_rejected():
 def test_non_finite_weights_rejected(bad):
     with pytest.raises(fpds.SpecError, match="non-finite weights"):
         Weights(mu=[bad, 1.0], tau=[])
+
+
+def test_mis_sized_weights_rejected(ex41):
+    with pytest.raises(fpds.SpecError, match="dimension mismatch: weights"):
+        certificate(ex41, Weights(mu=np.ones(3), tau=np.ones(1)))

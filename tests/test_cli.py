@@ -15,6 +15,8 @@ import fpds
 from fpds.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                       build_parser, run)
 
+from conftest import make_1d_spec
+
 
 def capture(argv):
     out = io.StringIO()
@@ -86,6 +88,34 @@ def test_bad_numeric_option_is_input_error(argv):
     code, text = capture(argv)
     assert code == EXIT_INPUT
     assert text.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["certify", "equilibrium", "envelope", "sweep"])
+def test_infeasible_spec_file_has_no_weights(tmp_path, command):
+    path = tmp_path / "infeasible.json"
+    path.write_text(fpds.serialize(make_1d_spec(A=-1.0)))
+    code, text = capture([command, str(path)])
+    assert code == EXIT_FAIL
+    assert text.startswith("weights: none found (comparison system infeasible)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["equilibrium", "example-4.2", "--weights", "2,1", "--max-iter", "1"],
+     "unconverged after 1 iterations\n"),
+    (["envelope", "example-4.1", "--weights", "1,1,1,1,1000", "--steps", "100"],
+     "numerical failure: certificate fails\n"),
+])
+def test_numeric_failure_exit(argv, message):
+    assert capture(argv) == (EXIT_NUMERIC, message)
+
+
+def test_certify_warns_of_non_unit_gains(tmp_path):
+    path = tmp_path / "gains.json"
+    path.write_text(fpds.serialize(
+        fpds.builtin_scenario("example-4.1", gains=[1.0, 2.0, 1.0, 0.5, 3.0])))
+    code, text = capture(["certify", str(path)])
+    assert code == EXIT_OK
+    assert text.endswith("warning: certificate ignores non-unit gains\npass\n")
 
 
 def test_unknown_command_is_usage_error():
@@ -256,6 +286,10 @@ def _bad_seed(value):
     (["envelope", "example-4.1", "--y0", "1"], "initial state length mismatch"),
     # an empty list is an explicit empty state, not the box midpoint
     (["envelope", "example-4.1", "--x0", ""], "initial state length mismatch"),
+    # every comma-separated item is a number; only "" is the empty list
+    (["certify", "example-4.2", "--weights", "2,,1"], "bad numeric list '2,,1'"),
+    (["certify", "example-4.2", "--weights", "2,1,"], "bad numeric list '2,1,'"),
+    (["envelope", "example-4.1", "--x0", ","], "bad numeric list ','"),
     pytest.param(["equilibrium", "example-4.2", "--weights", "2,1", "--selector", "random",
                   "--seed", "-1"], _bad_seed("-1"), id="negative-seed"),
     pytest.param(["simulate", "example-4.2", "--seed", "1.5"], _bad_seed("1.5"),

@@ -50,6 +50,8 @@ def test_box_bound_order_error(ex42):
     ("alpha", 0.0, "alpha"),
     ("alpha", 1.5, "alpha"),
     ("rho", -0.1, "rho"),
+    ("n", 0, "dimension mismatch: n must be >= 1"),
+    ("m", -1, "dimension mismatch: m must be >= 0"),
 ])
 def test_scalar_parameter_errors(field, value, msg):
     spec = make_1d_spec()
@@ -59,6 +61,11 @@ def test_scalar_parameter_errors(field, value, msg):
     kwargs[field] = value
     with pytest.raises(SpecError, match=msg):
         fpds.validate_system(fpds.SystemSpec(**kwargs))
+
+
+def test_unknown_selector(ex42):
+    with pytest.raises(SpecError, match="unknown selector 'vertex'"):
+        fpds.sample_matrix(ex42.A, "vertex")
 
 
 def test_sample_lower_matches_printed_bounds(ex42):
@@ -140,11 +147,20 @@ def test_seeded_sampling_matches_blockwise_draws(name):
 
 def test_m_zero_blocks_are_empty(ex42):
     assert ex42.b.size == 0
-    assert ex42.Astar.cols == 0
-    assert ex42.B.rows == 0
+    assert ex42.Astar.lower.shape == (2, 0)
+    assert ex42.B.lower.shape == (0, 0)
     real = fpds.sample_realization(ex42, "midpoint")
     assert real.M[2:, 2:].shape == (0, 0)
     assert real.M[2:, :2].shape == (0, 2)
+
+
+def test_empty_block_keeps_the_shape_it_is_given(ex42):
+    # [] is an array of shape (0,), not a 0 x 0 block: an empty block built
+    # in Python carries its shape, as np.zeros((0, 0)) does
+    bad = dataclasses.replace(ex42, B=IntervalMatrix([], []))
+    with pytest.raises(SpecError, match=re.escape(
+            "dimension mismatch: B.lower is (0,), expected (0, 0)")):
+        fpds.validate_system(bad)
 
 
 NUMERIC_FIELDS = ("alpha", "rho", "lambda", "a", "b", "A.lower", "A.upper",

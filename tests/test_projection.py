@@ -99,6 +99,12 @@ def test_length_mismatch():
         project_box(BoxSet([0.0], [1.0]), np.array([1.0, 2.0]))
 
 
+def test_mis_shaped_shift():
+    box = BoxSet([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(fpds.SpecError, match=r"shape mismatch: shift is \(2, 3\)"):
+        project_implicit(np.zeros((2, 3)), box, np.zeros(2), np.zeros(2))
+
+
 def test_rhs_simple_1d():
     # clamp(x - (x - 3)) - x = clamp(3) - x; at x = 0 the RHS is 3
     spec = make_1d_spec(A=1.0, a=-3.0, rho=1.0, lo=0.0, hi=10.0)

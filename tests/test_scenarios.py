@@ -6,8 +6,7 @@ import pytest
 
 import fpds
 from fpds import (BUILTIN_NAMES, SpecError, Weights, builtin_scenario,
-                  certificate, find_weights, load_spec, parse_spec_document,
-                  serialize)
+                  certificate, find_weights, load_spec, serialize)
 from fpds.cli import EXIT_INPUT, run
 
 
@@ -75,21 +74,16 @@ def test_round_trip_is_field_exact(name):
 @pytest.mark.parametrize("embed", [False, True])
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_serialize_round_trip_is_byte_exact(name, embed):
+    # weights embedded in the file are ignored: they are not read back, and
+    # serialize never writes them
     spec = builtin_scenario(name)
-    text = serialize(spec, find_weights(spec) if embed else None)
-    back, w = parse_spec_document(text)
-    assert serialize(back, w) == text
-    assert list(json.loads(text)["intervals"]) == ["A", "Astar", "B", "Bstar"]
-
-
-def test_weights_round_trip(ex42, w42):
-    text = serialize(ex42, weights=w42)
-    spec, w = parse_spec_document(text)
-    assert w is not None
-    np.testing.assert_array_equal(w.mu, w42.mu)
-    np.testing.assert_array_equal(w.tau, w42.tau)
-    # without embedded weights the parser returns None for them
-    assert parse_spec_document(serialize(ex42))[1] is None
+    text = serialize(spec)
+    doc = json.loads(text)
+    if embed:
+        w = find_weights(spec)
+        doc["weights"] = {"mu": w.mu.tolist(), "tau": w.tau.tolist()}
+    assert serialize(load_spec(json.dumps(doc))) == text
+    assert list(doc["intervals"]) == ["A", "Astar", "B", "Bstar"]
 
 
 def test_truncated_document(ex42):
@@ -158,18 +152,12 @@ def test_bytes_input(ex42):
     ("example-4.2", "n", "2", "parse error: n must be an integer, got '2'"),
     ("example-4.2", "m", False, "parse error: m must be an integer, got False"),
     ("example-4.2", "lambda", -1.0, "nonpositive lambda"),
-    ("example-4.2", "weights", {}, "parse error: missing field 'mu'"),
-    ("example-4.2", "weights", {"mu": [2.0, 1.0], "tau": "x"},
-     "parse error: could not convert string to float: 'x'"),
-    ("example-4.2", "weights", [2.0, 1.0],
-     "parse error: list indices must be integers or slices, not str"),
 ], ids=["no-lambda", "float-n", "integral-float-n", "string-n", "bool-m",
-        "m0-negative-lambda", "weights-without-mu", "string-tau", "weights-list"])
+        "m0-negative-lambda"])
 def test_bad_spec_file_is_input_error(tmp_path, name, key, value, message):
-    # lambda has no default, n and m are never truncated or converted,
-    # lambda > 0 holds whether or not there is a y block, and malformed
-    # weights are parse errors; load_spec and `fpds certify <file>` (exit 66)
-    # report the same error
+    # lambda has no default, n and m are never truncated or converted, and
+    # lambda > 0 holds whether or not there is a y block; load_spec and
+    # `fpds certify <file>` (exit 66) report the same error
     doc = json.loads(serialize(builtin_scenario(name)))
     if value is None:
         del doc[key]
@@ -184,6 +172,25 @@ def test_bad_spec_file_is_input_error(tmp_path, name, key, value, message):
     out = io.StringIO()
     assert run(["certify", str(path)], out=out) == EXIT_INPUT
     assert out.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("weights", [
+    {}, {"mu": [2.0, 1.0], "tau": "x"}, [2.0, 1.0]],
+    ids=["without-mu", "string-tau", "list"])
+def test_weights_key_is_ignored(tmp_path, weights):
+    # norm weights come from --weights or find_weights, never from the file,
+    # so even a malformed weights key loads and certifies like none at all
+    text = serialize(builtin_scenario("example-4.2"))
+    doc = json.loads(text)
+    doc["weights"] = weights
+    assert serialize(load_spec(json.dumps(doc))) == text
+    plain, carrying = tmp_path / "plain.json", tmp_path / "weights.json"
+    plain.write_text(text)
+    carrying.write_text(json.dumps(doc))
+    outs = [io.StringIO(), io.StringIO()]
+    assert run(["certify", str(plain)], out=outs[0]) == 0
+    assert run(["certify", str(carrying)], out=outs[1]) == 0
+    assert outs[0].getvalue() == outs[1].getvalue()
 
 
 def test_non_utf8_document_is_a_parse_error(tmp_path):
