@@ -5,7 +5,7 @@ from .certify import (Certificate, Weights, certificate, comparison_system,
                       find_weights, weighted_norm)
 from .equilibrium import CertificateError, Equilibrium, picard_solve, residual
 from .fde import EnvelopeReport, IntegrationError, Trajectory, envelope_check, integrate
-from .mlf import mittag_leffler, ml_envelope, recip_gamma
+from .mlf import mittag_leffler, ml_envelope
 from .model import (BoxSet, IntervalMatrix, Realization, ShiftMap, SpecError,
                     SystemSpec, check_realization, sample_matrix,
                     sample_realization, validate_system)
@@ -19,7 +19,7 @@ __all__ = [
     "Trajectory", "Weights", "builtin_scenario", "certificate",
     "check_realization", "comparison_system", "envelope_check", "find_weights",
     "integrate", "load_spec", "mittag_leffler", "ml_envelope", "picard_map",
-    "picard_solve", "project_box", "project_implicit", "recip_gamma",
-    "residual", "rhs", "sample_matrix", "sample_realization", "serialize",
-    "validate_system", "weighted_norm",
+    "picard_solve", "project_box", "project_implicit", "residual", "rhs",
+    "sample_matrix", "sample_realization", "serialize", "validate_system",
+    "weighted_norm",
 ]
