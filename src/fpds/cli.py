@@ -11,7 +11,7 @@ from . import scenarios
 from .certify import Weights, certificate, find_weights
 from .equilibrium import CertificateError, picard_solve
 from .fde import IntegrationError, envelope_check, integrate
-from .model import SELECTORS, Realization, SpecError, SystemSpec, sample_realization
+from .model import SELECTORS, SpecError, SystemSpec, sample_realization
 from .projection import StateVector
 
 EXIT_OK = 0
@@ -20,9 +20,19 @@ EXIT_USAGE = 64
 EXIT_INPUT = 66
 EXIT_NUMERIC = 70
 
+TOL_HELP = ("distance to the equilibrium at which the Picard iteration stops, in "
+            "the weighted l1 norm of the weights in use: scaling the weights by c "
+            "scales it by c. A tol below the iteration's rounding floor never "
+            "converges (example-4.1 at its auto weights, about 23.6: the step "
+            "stalls at 5.24e-15, above the stop threshold 4.38e-15 of tol 1e-13)")
+
 
 class UsageError(Exception):
     pass
+
+
+class _Unconverged(RuntimeError):
+    """picard_solve hit its iteration cap before its stopping rule held."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,8 +133,8 @@ def _cmd_equilibrium(args, out) -> int:
     w = _resolve_weights(spec, args.weights, out)
     if w is None:
         return EXIT_FAIL
-    real = sample_realization(spec, args.selector, seed=args.seed)
-    eq = picard_solve(spec, real, w, tol=args.tol, max_iter=args.max_iter)
+    M = sample_realization(spec, args.selector, seed=args.seed)
+    eq = picard_solve(spec, M, w, tol=args.tol, max_iter=args.max_iter)
     if not eq.converged:
         print(f"unconverged after {eq.iterations} iterations", file=out)
         return EXIT_NUMERIC
@@ -137,18 +147,19 @@ def _cmd_equilibrium(args, out) -> int:
 
 def _cmd_simulate(args, out) -> int:
     spec = _load_scenario(args.scenario)
-    real = sample_realization(spec, args.selector, seed=args.seed)
+    M = sample_realization(spec, args.selector, seed=args.seed)
     z0 = _initial_state(spec, args.x0, args.y0)
-    traj = integrate(spec, real, z0, args.t_end, args.steps)
+    traj = integrate(spec, M, z0, args.t_end, args.steps)
     _write_csv(traj, spec, args.output, out)
     return EXIT_OK
 
 
 def _envelope_checker(args, out):
     """(spec, check) for an envelope or sweep run, or None if no weights are
-    found; check(real) runs picard_solve, integrate and envelope_check. The
-    certificate does not depend on the realization, so it is checked here,
-    once per run, and its θ serves every check."""
+    found; check(M) runs picard_solve, integrate and envelope_check, and
+    raises _Unconverged if the equilibrium it checks against did not
+    converge. The certificate does not depend on the realization, so it is
+    checked here, once per run, and its θ serves every check."""
     spec = _load_scenario(args.scenario)
     z0 = _initial_state(spec, args.x0, args.y0)
     w = _resolve_weights(spec, args.weights, out)
@@ -158,9 +169,11 @@ def _envelope_checker(args, out):
     if not cert.passed:
         raise CertificateError("certificate fails")
 
-    def check(real: Realization):
-        eq = picard_solve(spec, real, w, tol=args.tol)
-        traj = integrate(spec, real, z0, args.t_end, args.steps)
+    def check(M: np.ndarray):
+        eq = picard_solve(spec, M, w, tol=args.tol)
+        if not eq.converged:
+            raise _Unconverged(f"unconverged after {eq.iterations} iterations")
+        traj = integrate(spec, M, z0, args.t_end, args.steps)
         return envelope_check(traj, eq, w, cert.theta, slack=args.slack)
     return spec, check
 
@@ -217,7 +230,7 @@ def build_parser() -> _Parser:
         if "seed" in options:
             p.add_argument("--seed", type=_seed, default=os.environ.get("FPDS_SEED", "0"))
         if "tol" in options:
-            p.add_argument("--tol", type=float, default=1e-10)
+            p.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
         if "selector" in options:
             p.add_argument("--selector", choices=SELECTORS, default="lower")
         if "sim" in options:
@@ -261,7 +274,7 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=out)
         return EXIT_INPUT
-    except (CertificateError, IntegrationError, FloatingPointError) as exc:
+    except (CertificateError, IntegrationError, _Unconverged) as exc:
         print(f"numerical failure: {exc}", file=out)
         return EXIT_NUMERIC
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Weights, certificate
-from .model import Realization, SpecError, SystemSpec, check_realization
+from .model import SpecError, SystemSpec, check_realization
 from .projection import StateVector, _flat, _scaled_step, rhs_form
 
 
@@ -25,16 +25,16 @@ class Equilibrium:
     step_norms: np.ndarray  # successive-difference norms, one per iteration
 
 
-def residual(spec: SystemSpec, real: Realization, w: Weights,
+def residual(spec: SystemSpec, M: np.ndarray, w: Weights,
              s: StateVector) -> float:
     """Weighted-l1 norm of the Picard step P(z) - z, zero only at the
     realization's equilibrium; each call builds the O((n+m)^2) form afresh."""
     if w.mu.size != spec.n or w.tau.size != spec.m:
         raise SpecError("dimension mismatch: weights")
-    return float(w.as_array() @ np.abs(_scaled_step(spec, real, s)[1]))
+    return float(w.as_array() @ np.abs(_scaled_step(spec, M, s)[1]))
 
 
-def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
+def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
                  tol: float = 1e-10, max_iter: int = 100_000,
                  start: StateVector | None = None) -> Equilibrium:
     """Iterate z <- P(z) until the a posteriori contraction bound certifies
@@ -47,6 +47,12 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     returned with converged=False. The default start is the box midpoint.
     tol must be finite and positive and max_iter at least 1; a passing
     certificate puts every xi_i, zeta_j and hence kappa inside (0, 1).
+
+    tol is measured in the weighted l1 norm of w, so scaling w by c scales
+    the tolerance by c. A tol below the iteration's rounding floor never
+    converges: on example-4.1's lower realization at its auto weights (about
+    23.6) the step stalls at 5.24e-15, above the stop threshold 4.38e-15 of
+    tol 1e-13, and every one of the 100000 default iterations runs.
     """
     if not 0.0 < tol < math.inf:
         raise SpecError("tol must be finite and positive")
@@ -55,13 +61,13 @@ def picard_solve(spec: SystemSpec, real: Realization, w: Weights,
     cert = certificate(spec, w)
     if not cert.passed:
         raise CertificateError("certificate fails; Picard iteration not contractive")
-    check_realization(spec, real)
+    M = check_realization(spec, M)
     kappa = cert.kappa
     stop = tol * (1.0 - kappa) / kappa
 
     wz = w.as_array()
     z = spec.blocks.box.midpoint() if start is None else _flat(spec, start)
-    f, q = rhs_form(spec, real.M, np.ones(z.size))     # P(z) - z = f(z) - q
+    f, q = rhs_form(spec, M, np.ones(z.size))     # P(z) - z = f(z) - q
     step = np.empty(z.size)
     steps: list[float] = []
     converged = False

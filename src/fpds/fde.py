@@ -51,7 +51,7 @@ import numpy as np
 from .certify import Weights
 from .equilibrium import Equilibrium
 from .mlf import ml_envelope
-from .model import Realization, SpecError, SystemSpec, check_realization
+from .model import SpecError, SystemSpec, check_realization
 from .projection import AffineClamp, StateVector, _flat, rhs_form
 
 
@@ -71,7 +71,6 @@ class Trajectory:
     times: np.ndarray           # uniform grid, times[0] = 0
     states: np.ndarray          # (steps+1, n+m), states[0] = initial condition
     alpha: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def _tables(alpha: float, h: float, steps: int) -> _Tables:
     return tab
 
 
-def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
+def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
               t_end: float, steps: int) -> Trajectory:
     """Integrate the Caputo dynamics of order alpha from t = 0 to t_end.
 
@@ -209,7 +208,7 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
         raise SpecError("steps must be >= 1")
     if not 0.0 < t_end < math.inf:
         raise SpecError("t_end must be finite and positive")
-    check_realization(spec, real)
+    M = check_realization(spec, M)
     z_init = _flat(spec, z0)
     alpha = spec.alpha
     h = t_end / steps
@@ -230,9 +229,9 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
     lags = tab.W[:, : longest - 1]          # the lags within a block
     probe, length = True, 2
     with np.errstate(over="ignore", invalid="ignore"):
-        f, q = rhs_form(spec, real.M, spec.gains)
+        f, q = rhs_form(spec, M, spec.gains)
         # c_corr f = f_corr - q_corr
-        f_corr, q_corr = rhs_form(spec, real.M, tab.c_corr * spec.gains)
+        f_corr, q_corr = rhs_form(spec, M, tab.c_corr * spec.gains)
         f(z_init, F[0])
         F[0] -= q
         # base[k]: z0 plus the j = 0 terms of step k's predictor and
@@ -273,7 +272,7 @@ def integrate(spec: SystemSpec, real: Realization, z0: StateVector,
                 _add_far(base, Fs, tab, end)
 
     times = h * np.arange(steps + 1)
-    return Trajectory(times=times, states=Z, alpha=alpha, n=spec.n)
+    return Trajectory(times=times, states=Z, alpha=alpha)
 
 
 def _toeplitz(W: np.ndarray, size: int, shift: int) -> np.ndarray:
@@ -425,7 +424,7 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
     eq_arr = eq.point.as_array()
     if eq_arr.size != traj.states.shape[1]:
         raise SpecError("dimension mismatch between trajectory and equilibrium")
-    if w.mu.size != traj.n or w.tau.size != eq_arr.size - traj.n:
+    if w.mu.size != eq.point.x.size or w.tau.size != eq.point.y.size:
         raise SpecError("dimension mismatch: weights")
 
     v = np.abs(traj.states - eq_arr) @ w.as_array()

@@ -1,4 +1,4 @@
-"""Problem data: interval matrices, box constraints, shift maps, realizations."""
+"""Problem data: interval matrices, box constraints and realizations."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -65,18 +65,6 @@ class BoxSet:
         return 0.5 * (self.lo + self.hi)
 
 
-@dataclass(frozen=True)
-class ShiftMap:
-    """Linear shifts of the constraint boxes: K1(x) = H x + K1, K2(y) = L y + K2."""
-
-    H: np.ndarray
-    L: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "H", _matrix(self.H))
-        object.__setattr__(self, "L", _matrix(self.L))
-
-
 class BlockForm(NamedTuple):
     """A spec as one system in z = (x, y): step sizes r (rho on x rows, lam on
     y rows), c = (a, b), S = blockdiag(H, L), the joined box K = K1 x K2,
@@ -107,7 +95,8 @@ class SystemSpec:
     Astar: IntervalMatrix
     B: IntervalMatrix
     Bstar: IntervalMatrix
-    shifts: ShiftMap
+    H: np.ndarray               # the box shifts: x lies in H x + K1,
+    L: np.ndarray               # y in L y + K2
     box1: BoxSet
     box2: BoxSet
     gains: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -115,8 +104,11 @@ class SystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "a", _vector(self.a))
         object.__setattr__(self, "b", _vector(self.b))
+        object.__setattr__(self, "H", _matrix(self.H))
+        object.__setattr__(self, "L", _matrix(self.L))
         if self.gains is None:
-            g = np.ones(self.n + self.m)
+            # sized from the arrays, not from n and m, which are not yet checked
+            g = np.ones(self.a.size + self.b.size)
         else:
             g = _vector(self.gains)
         g.setflags(write=False)
@@ -127,7 +119,7 @@ class SystemSpec:
         """The spec as one projected system in z = (x, y), built once."""
         n, m = self.n, self.m
         r = np.concatenate([np.full(n, self.rho), np.full(m, self.lam)])
-        S = _assemble(n, m, (self.shifts.H, 0.0, self.shifts.L, 0.0))  # blockdiag(H, L)
+        S = _assemble(n, m, (self.H, 0.0, self.L, 0.0))  # blockdiag(H, L)
         M_lo = _assemble(n, m, [getattr(self, name).lower for name, _, _ in BLOCKS])
         M_hi = _assemble(n, m, [getattr(self, name).upper for name, _, _ in BLOCKS])
         T = np.abs(S) + np.maximum(np.abs(r[:, None] * M_lo + S),
@@ -150,17 +142,6 @@ def _assemble(n: int, m: int, parts) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One member of the interval family: its block matrix M = [[A, A*], [B*, B]]
-    on z = (x, y), read-only. A block is a slice of M, e.g. A = M[:n, :n]."""
-
-    M: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", _matrix(self.M))
-
-
 def _fields(spec: SystemSpec) -> list:
     """Every number of the spec as (field name, value, expected shape)."""
     n, m = spec.n, spec.m
@@ -171,7 +152,7 @@ def _fields(spec: SystemSpec) -> list:
         im = getattr(spec, name)
         shape = (dims[r], dims[c])
         out += [(f"{name}.lower", im.lower, shape), (f"{name}.upper", im.upper, shape)]
-    out += [("H", spec.shifts.H, (n, n)), ("L", spec.shifts.L, (m, m))]
+    out += [("H", spec.H, (n, n)), ("L", spec.L, (m, m))]
     for name, box, size in (("box1", spec.box1, n), ("box2", spec.box2, m)):
         out += [(f"{name}.lo", box.lo, (size,)), (f"{name}.hi", box.hi, (size,))]
     return out + [("gains", spec.gains, (n + m,))]
@@ -230,12 +211,12 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
 SELECTORS = ("lower", "upper", "midpoint", "random")
 
 
-def sample_matrix(im: IntervalMatrix, selector: str, seed: int | None = None,
+def sample_matrix(im: IntervalMatrix, selector: str,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Pick one matrix from the interval family.
 
-    lower/upper/midpoint are deterministic; random draws each entry uniformly,
-    deterministically for a given seed (or caller-supplied generator).
+    lower/upper/midpoint are deterministic; random draws each entry uniformly
+    from rng (a fresh unseeded generator by default).
     """
     if selector == "lower":
         return np.array(im.lower)
@@ -245,28 +226,31 @@ def sample_matrix(im: IntervalMatrix, selector: str, seed: int | None = None,
         return im.midpoint()
     if selector == "random":
         if rng is None:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng()
         width = im.upper - im.lower
         return im.lower + rng.random(im.lower.shape) * width
     raise SpecError(f"unknown selector {selector!r}")
 
 
 def sample_realization(spec: SystemSpec, selector: str,
-                       seed: int | None = None) -> Realization:
-    """Sample M blockwise with one selector, in BLOCKS order (A, A*, B, B*)
-    and, for random, from one generator, so a seed fixes every block."""
+                       seed: int | None = None) -> np.ndarray:
+    """A realization: its read-only M = [[A, A*], [B*, B]] (A = M[:n, :n]),
+    sampled blockwise with one selector, in BLOCKS order and, for random,
+    from one generator, so a seed fixes every block."""
     rng = np.random.default_rng(seed) if selector == "random" else None
     parts = [sample_matrix(getattr(spec, name), selector, rng=rng) for name, _, _ in BLOCKS]
-    return Realization(_assemble(spec.n, spec.m, parts))
+    return _matrix(_assemble(spec.n, spec.m, parts))
 
 
-def check_realization(spec: SystemSpec, real: Realization) -> None:
-    """Raise SpecError unless real.M is (n+m) x (n+m) and M_lo <= M <= M_hi
-    entrywise (spec.blocks); the error names the first entry outside."""
+def check_realization(spec: SystemSpec, M: np.ndarray) -> np.ndarray:
+    """M as a float array; SpecError unless it is (n+m) x (n+m) and
+    M_lo <= M <= M_hi entrywise (spec.blocks), naming the first entry outside."""
+    M = np.asarray(M, dtype=float)
     blk = spec.blocks
-    if real.M.shape != blk.M_lo.shape:
-        raise SpecError(f"dimension mismatch: M is {real.M.shape}, expected {blk.M_lo.shape}")
-    inside = (real.M >= blk.M_lo) & (real.M <= blk.M_hi)
+    if M.shape != blk.M_lo.shape:
+        raise SpecError(f"dimension mismatch: M is {M.shape}, expected {blk.M_lo.shape}")
+    inside = (M >= blk.M_lo) & (M <= blk.M_hi)
     if not inside.all():
         i, j = np.argwhere(~inside)[0]
         raise SpecError(f"realization outside intervals: M[{i},{j}]")
+    return M

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoxSet, Realization, SpecError, SystemSpec, check_realization
+from .model import BoxSet, SpecError, SystemSpec, check_realization
 
 
 @dataclass(frozen=True)
@@ -150,30 +150,30 @@ def rhs_form(spec: SystemSpec, M: np.ndarray,
         return AffineClamp(R, g * (blk.box.lo + rc), g * (blk.box.hi + rc)), g * rc
 
 
-def _scaled_step(spec: SystemSpec, real: Realization, s: StateVector,
+def _scaled_step(spec: SystemSpec, M: np.ndarray, s: StateVector,
                  g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The flat state z and g (P(z) - z), g = 1 by default, once the
-    realization and the state are checked."""
-    check_realization(spec, real)
+    realization M and the state are checked."""
+    M = check_realization(spec, M)
     z = _flat(spec, s)
-    f, q = rhs_form(spec, real.M, np.ones(z.size) if g is None else g)
+    f, q = rhs_form(spec, M, np.ones(z.size) if g is None else g)
     out = f(z, np.empty(z.size))
     out -= q
     return z, out
 
 
-def picard_map(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
+def picard_map(spec: SystemSpec, M: np.ndarray, s: StateVector) -> StateVector:
     """One application of the fixed-point map whose fixed points are equilibria:
     P_{S z + K}[z - r (M z + c)] on z = (x, y) with K = K1 x K2, in the block
     form of SystemSpec.blocks, as z plus `rhs_form` at unit gains. Gains are
     not applied (positive gains do not move the fixed point). Each call
     builds the O((n+m)^2) form afresh."""
-    z, step = _scaled_step(spec, real, s)
+    z, step = _scaled_step(spec, M, s)
     step += z
     return StateVector.split(step, spec.n)
 
 
-def rhs(spec: SystemSpec, real: Realization, s: StateVector) -> StateVector:
+def rhs(spec: SystemSpec, M: np.ndarray, s: StateVector) -> StateVector:
     """The dynamics' right-hand side gains * (P(z) - z) by `rhs_form`; each
     call builds the O((n+m)^2) form afresh."""
-    return StateVector.split(_scaled_step(spec, real, s, spec.gains)[1], spec.n)
+    return StateVector.split(_scaled_step(spec, M, s, spec.gains)[1], spec.n)

@@ -6,8 +6,7 @@ import json
 
 import numpy as np
 
-from .model import (BLOCKS, BoxSet, IntervalMatrix, ShiftMap, SpecError,
-                    SystemSpec, validate_system)
+from .model import BLOCKS, BoxSet, IntervalMatrix, SpecError, SystemSpec, validate_system
 
 # Illustrative interval bounds for the traffic tatonnement scenario: the
 # per-arc cost slopes l_m and the (negative) demand slope r are user data in
@@ -44,10 +43,8 @@ def _example_41() -> SystemSpec:
             lower=[[-0.4, 0.1, -0.3], [0.5, -0.3, 0.6]],
             upper=[[0.5, 0.3, 0.4], [0.7, -0.2, 0.7]],
         ),
-        shifts=ShiftMap(
-            H=[[0.09, 0.06, -0.03], [-0.05, -0.17, 0.08], [0.07, -0.06, 0.11]],
-            L=[[-0.11, -0.03], [-0.08, 0.09]],
-        ),
+        H=[[0.09, 0.06, -0.03], [-0.05, -0.17, 0.08], [0.07, -0.06, 0.11]],
+        L=[[-0.11, -0.03], [-0.08, 0.09]],
         box1=BoxSet(lo=[3.0, -1.5, 0.5], hi=[4.0, -0.5, 1.5]),
         box2=BoxSet(lo=[1.5, -2.5], hi=[2.5, -1.0]),
     )
@@ -64,7 +61,7 @@ def _example_42() -> SystemSpec:
         Astar=IntervalMatrix(lower=np.zeros((2, 0)), upper=np.zeros((2, 0))),
         B=IntervalMatrix(lower=np.zeros((0, 0)), upper=np.zeros((0, 0))),
         Bstar=IntervalMatrix(lower=np.zeros((0, 2)), upper=np.zeros((0, 2))),
-        shifts=ShiftMap(H=[[-0.2, 0.0], [0.0, 0.11]], L=np.zeros((0, 0))),
+        H=[[-0.2, 0.0], [0.0, 0.11]], L=np.zeros((0, 0)),
         box1=BoxSet(lo=[0.0, 0.0], hi=[2.5, 0.5]),
         box2=BoxSet(lo=[], hi=[]),
     )
@@ -90,7 +87,7 @@ def _traffic_gstm() -> SystemSpec:
         Astar=IntervalMatrix(lower=[[-1.0]] * 3, upper=[[-1.0]] * 3),
         B=IntervalMatrix(lower=[[-r_hi]], upper=[[-r_lo]]),
         Bstar=IntervalMatrix(lower=[[1.0, 1.0, 1.0]], upper=[[1.0, 1.0, 1.0]]),
-        shifts=ShiftMap(H=np.zeros((3, 3)), L=np.zeros((1, 1))),
+        H=np.zeros((3, 3)), L=np.zeros((1, 1)),
         box1=BoxSet(lo=[0.0, 0.0, 0.0], hi=[10.0, 10.0, 10.0]),
         box2=BoxSet(lo=[0.0], hi=[20.0]),
     )
@@ -127,7 +124,7 @@ def serialize(spec: SystemSpec) -> str:
                    "upper": getattr(spec, name).upper.tolist()}
             for name, _, _ in BLOCKS
         },
-        "shifts": {"H": spec.shifts.H.tolist(), "L": spec.shifts.L.tolist()},
+        "shifts": {"H": spec.H.tolist(), "L": spec.L.tolist()},
         "boxes": {
             "box1": {"lo": spec.box1.lo.tolist(), "hi": spec.box1.hi.tolist()},
             "box2": {"lo": spec.box2.lo.tolist(), "hi": spec.box2.hi.tolist()},
@@ -172,7 +169,7 @@ def load_spec(document: str | bytes) -> SystemSpec:
                 _shaped(intervals[name]["lower"], dims[r], dims[c]),
                 _shaped(intervals[name]["upper"], dims[r], dims[c]))
                for name, r, c in BLOCKS},
-            shifts=ShiftMap(H=_shaped(shifts["H"], n, n), L=_shaped(shifts["L"], m, m)),
+            H=_shaped(shifts["H"], n, n), L=_shaped(shifts["L"], m, m),
             box1=BoxSet(lo=boxes["box1"]["lo"], hi=boxes["box1"]["hi"]),
             box2=BoxSet(lo=boxes["box2"]["lo"], hi=boxes["box2"]["hi"]),
             gains=doc.get("gains"),

@@ -35,7 +35,7 @@ def make_scalar_decay_spec(alpha):
         Astar=fpds.IntervalMatrix(z((1, 0)), z((1, 0))),
         B=fpds.IntervalMatrix(z((0, 0)), z((0, 0))),
         Bstar=fpds.IntervalMatrix(z((0, 1)), z((0, 1))),
-        shifts=fpds.ShiftMap(H=[[0.0]], L=z((0, 0))),
+        H=[[0.0]], L=z((0, 0)),
         box1=fpds.BoxSet([0.0], [1e9]),
         box2=fpds.BoxSet([], []),
     ))
@@ -49,7 +49,7 @@ def make_1d_spec(A=1.0, a=-3.0, rho=1.0, lo=0.0, hi=10.0, h=0.0, alpha=0.9):
         Astar=fpds.IntervalMatrix(z((1, 0)), z((1, 0))),
         B=fpds.IntervalMatrix(z((0, 0)), z((0, 0))),
         Bstar=fpds.IntervalMatrix(z((0, 1)), z((0, 1))),
-        shifts=fpds.ShiftMap(H=[[h]], L=z((0, 0))),
+        H=[[h]], L=z((0, 0)),
         box1=fpds.BoxSet([lo], [hi]),
         box2=fpds.BoxSet([], []),
     ))

@@ -105,11 +105,11 @@ def test_criterion_04_equilibrium_beats_grid(systems):
         xs = np.arange(-1.5, 2.0 + 5e-4, 1e-3)
         ys = np.arange(-0.6, 0.8 + 5e-4, 1e-3)
         best = np.inf
-        H = ex42.shifts.H
+        H = ex42.H
         for chunk in np.array_split(xs, 8):
             X1, X2 = np.meshgrid(chunk, ys, indexing="ij")
             X = np.stack([X1.ravel(), X2.ravel()])
-            V = X - ex42.rho * (real.M[:2, :2] @ X + ex42.a[:, None])
+            V = X - ex42.rho * (real[:2, :2] @ X + ex42.a[:, None])
             U = H @ X
             F = U + np.clip(V - U, ex42.box1.lo[:, None], ex42.box1.hi[:, None])
             res = w42.mu @ np.abs(F - X)

@@ -21,7 +21,7 @@ def test_tilde_symmetric_interval():
         Astar=fpds.IntervalMatrix(np.zeros((1, 0)), np.zeros((1, 0))),
         B=fpds.IntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0))),
         Bstar=fpds.IntervalMatrix(np.zeros((0, 1)), np.zeros((0, 1))),
-        shifts=fpds.ShiftMap(H=[[0.0]], L=np.zeros((0, 0))),
+        H=[[0.0]], L=np.zeros((0, 0)),
         box1=fpds.BoxSet([0.0], [1.0]), box2=fpds.BoxSet([], []),
     ))
     # xi = 1 - rho a_lo = 1.7 and a2 = 1 - rho a_hi = 0.3
@@ -80,7 +80,7 @@ def test_widening_never_decreases_coefficients(ex41, w41):
         a=ex41.a, b=ex41.b,
         A=fpds.IntervalMatrix(ex41.A.lower, upper),
         Astar=ex41.Astar, B=ex41.B, Bstar=ex41.Bstar,
-        shifts=ex41.shifts, box1=ex41.box1, box2=ex41.box2,
+        H=ex41.H, L=ex41.L, box1=ex41.box1, box2=ex41.box2,
     )
     wide = certificate(fpds.validate_system(widened), w41)
     assert np.all(wide.xi >= base.xi - 1e-15)
@@ -152,7 +152,7 @@ def exact_spec(A, rho=1.0, n=None, M_hi=None):
         Astar=fpds.IntervalMatrix(M_lo[:n, n:], M_hi[:n, n:]),
         B=fpds.IntervalMatrix(M_lo[n:, n:], M_hi[n:, n:]),
         Bstar=fpds.IntervalMatrix(M_lo[n:, :n], M_hi[n:, :n]),
-        shifts=fpds.ShiftMap(H=np.zeros((n, n)), L=np.zeros((m, m))),
+        H=np.zeros((n, n)), L=np.zeros((m, m)),
         box1=fpds.BoxSet(-np.ones(n), np.ones(n)),
         box2=fpds.BoxSet(-np.ones(m), np.ones(m)),
     ))
@@ -198,7 +198,7 @@ def test_zero_shift_reduces_to_unshifted_expressions(ex41, w41):
         n=3, m=2, alpha=ex41.alpha, rho=ex41.rho, lam=ex41.lam,
         a=ex41.a, b=ex41.b, A=ex41.A, Astar=ex41.Astar, B=ex41.B,
         Bstar=ex41.Bstar,
-        shifts=fpds.ShiftMap(H=np.zeros((3, 3)), L=np.zeros((2, 2))),
+        H=np.zeros((3, 3)), L=np.zeros((2, 2)),
         box1=ex41.box1, box2=ex41.box2,
     ))
     cert = certificate(spec, w41)
@@ -218,7 +218,7 @@ def test_zeta_hand_evaluation(ex41):
     spec = ex41
     mu, tau = np.array([1.3, 0.7, 1.1]), np.array([0.9, 1.6])
     cert = certificate(spec, Weights(mu=mu, tau=tau))
-    rho, lam, L = spec.rho, spec.lam, spec.shifts.L
+    rho, lam, L = spec.rho, spec.lam, spec.L
     for j in range(2):
         expect = abs(L[j, j]) + 1.0 - lam * spec.B.lower[j, j] - L[j, j]
         for k in range(2):
@@ -247,7 +247,7 @@ def test_exact_matrix_no_shift_scalar_condition():
             Astar=fpds.IntervalMatrix(np.zeros((2, 0)), np.zeros((2, 0))),
             B=fpds.IntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0))),
             Bstar=fpds.IntervalMatrix(np.zeros((0, 2)), np.zeros((0, 2))),
-            shifts=fpds.ShiftMap(H=np.zeros((2, 2)), L=np.zeros((0, 0))),
+            H=np.zeros((2, 2)), L=np.zeros((0, 0)),
             box1=fpds.BoxSet([0.0, 0.0], [1.0, 1.0]),
             box2=fpds.BoxSet([], []),
         ))

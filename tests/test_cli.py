@@ -47,7 +47,7 @@ def test_certify_infeasible_spec(tmp_path):
     doc = fpds.serialize(fpds.SystemSpec(
         n=2, m=0, alpha=0.9, rho=2.5, lam=1.0, a=spec.a, b=spec.b,
         A=spec.A, Astar=spec.Astar, B=spec.B, Bstar=spec.Bstar,
-        shifts=spec.shifts, box1=spec.box1, box2=spec.box2))
+        H=spec.H, L=spec.L, box1=spec.box1, box2=spec.box2))
     path = tmp_path / "bad.json"
     path.write_text(doc)
     code, text = capture(["certify", str(path)])
@@ -107,6 +107,32 @@ def test_infeasible_spec_file_has_no_weights(tmp_path, command):
 ])
 def test_numeric_failure_exit(argv, message):
     assert capture(argv) == (EXIT_NUMERIC, message)
+
+
+@pytest.mark.parametrize("command", [["envelope"], ["sweep", "--samples", "2"]])
+def test_unconverged_equilibrium_is_numeric_error(command):
+    # at tol 1e-13 the Picard step on example-4.1 stalls at its rounding
+    # floor, above the stop threshold, so there is no equilibrium to check
+    # an envelope against and no report or sample line is printed
+    code, text = capture([command[0], "example-4.1", *command[1:],
+                          "--tol", "1e-13", "--steps", "400"])
+    assert code == EXIT_NUMERIC
+    weights, *rest = text.splitlines()
+    assert weights.startswith("weights: auto mu=")
+    assert rest == ["numerical failure: unconverged after 100000 iterations"]
+
+
+def test_spec_dimension_is_checked_before_default_gains_are_sized(tmp_path):
+    # the default gains are sized from a and b, so a huge n is rejected by
+    # validation instead of allocating n + m gains first
+    doc = json.loads(fpds.serialize(fpds.builtin_scenario("example-4.2")))
+    del doc["gains"]
+    doc["n"] = 10 ** 12
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps(doc))
+    code, text = capture(["certify", str(path)])
+    assert code == EXIT_INPUT
+    assert text == "error: dimension mismatch: a is (2,), expected (1000000000000,)\n"
 
 
 def test_certify_warns_of_non_unit_gains(tmp_path):

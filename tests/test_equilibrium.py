@@ -115,9 +115,9 @@ def test_residual_hand_evaluation_41(ex41, w41):
     got = residual(ex41, real, w41, s)
 
     x, y = np.array(s.x), np.array(s.y)
-    H, L = ex41.shifts.H, ex41.shifts.L
-    vx = x - ex41.rho * (real.M[:3, :3] @ x + real.M[:3, 3:] @ y + ex41.a)
-    vy = y - ex41.lam * (real.M[3:, 3:] @ y + real.M[3:, :3] @ x + ex41.b)
+    H, L = ex41.H, ex41.L
+    vx = x - ex41.rho * (real[:3, :3] @ x + real[:3, 3:] @ y + ex41.a)
+    vy = y - ex41.lam * (real[3:, 3:] @ y + real[3:, :3] @ x + ex41.b)
     fx = H @ x + np.minimum(np.maximum(vx - H @ x, ex41.box1.lo), ex41.box1.hi)
     fy = L @ y + np.minimum(np.maximum(vy - L @ y, ex41.box2.lo), ex41.box2.hi)
     expect = np.sum(np.abs(fx - x)) + np.sum(np.abs(fy - y))
@@ -184,6 +184,6 @@ def test_picard_solve_matches_iteration_through_project_implicit(scenario, selec
     eq = picard_solve(spec, real, fpds.find_weights(spec))
     z = blk.box.midpoint()
     for _ in range(eq.iterations):
-        z = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real.M @ z + blk.c))
+        z = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real @ z + blk.c))
     got = eq.point.as_array()
     assert np.abs(got - z).max() <= 1e-14 * np.abs(got).max()

@@ -122,8 +122,7 @@ def test_constructed_violation_fails(ex42, w42):
     states = np.array(traj.states)
     half = states.shape[0] // 2
     states[half:] = states[0]
-    fake = fpds.Trajectory(times=traj.times, states=states, alpha=traj.alpha,
-                           n=traj.n)
+    fake = fpds.Trajectory(times=traj.times, states=states, alpha=traj.alpha)
     report = envelope_check(fake, eq, w42, cert.theta, slack=0.05)
     assert not report.passed
     assert report.violations > 0
@@ -148,7 +147,7 @@ def test_envelope_underflow_counts_zero_over_zero_as_zero():
     times = np.linspace(0.0, 3000.0, 3001)
     states = np.array([[v0 * math.exp(-theta * t)] for t in times])
     assert np.count_nonzero(states == 0.0) > 1000
-    traj = fpds.Trajectory(times=times, states=states, alpha=1.0, n=1)
+    traj = fpds.Trajectory(times=times, states=states, alpha=1.0)
     eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
                           residual=0.0, a_priori_bound=0.0, converged=True,
                           step_norms=np.zeros(1))
@@ -165,8 +164,7 @@ def test_envelope_ratio_beyond_float_range_is_inf():
     # at t = 2 the envelope exp(-368 t) is subnormal and V / env overflows
     # (V = 1e-8 stays above ZERO_TOL, so the point is checked)
     traj = fpds.Trajectory(times=np.array([0.0, 1.0, 2.0]),
-                           states=np.array([[1.0], [0.5], [1e-8]]), alpha=1.0,
-                           n=1)
+                           states=np.array([[1.0], [0.5], [1e-8]]), alpha=1.0)
     eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
                           residual=0.0, a_priori_bound=0.0, converged=True,
                           step_norms=np.zeros(1))
@@ -185,7 +183,7 @@ def test_envelope_zero_tol_applies_where_envelope_is_tiny():
     theta, v0 = 1.0, 1.0
     times = np.linspace(0.0, 740.0, 741)
     states = np.array([[v0 * math.exp(-theta * t) + 1e-12] for t in times])
-    traj = fpds.Trajectory(times=times, states=states, alpha=1.0, n=1)
+    traj = fpds.Trajectory(times=times, states=states, alpha=1.0)
     eq = fpds.Equilibrium(point=StateVector(x=[0.0], y=[]), iterations=1,
                           residual=0.0, a_priori_bound=0.0, converged=True,
                           step_norms=np.zeros(1))
@@ -250,7 +248,7 @@ def test_non_finite_state_raises():
         Astar=fpds.IntervalMatrix(np.zeros((1, 0)), np.zeros((1, 0))),
         B=fpds.IntervalMatrix(np.zeros((0, 0)), np.zeros((0, 0))),
         Bstar=fpds.IntervalMatrix(np.zeros((0, 1)), np.zeros((0, 1))),
-        shifts=fpds.ShiftMap(H=[[0.0]], L=np.zeros((0, 0))),
+        H=[[0.0]], L=np.zeros((0, 0)),
         box1=fpds.BoxSet([-1e300], [1e300]), box2=fpds.BoxSet([], []),
         gains=[1e3],
     ))
@@ -269,11 +267,10 @@ ORACLE_CASES = [("example-4.1", None), ("example-4.2", None),
                 ("example-4.1", [0.3, 2.0, 1.7, 0.9, 5.0])]
 
 
-def _reference_rhs(spec, real):
+def _reference_rhs(spec, M):
     """gains * (P(z) - z) with the Picard map written out through the public
     project_implicit, one product at a time."""
     blk = spec.blocks
-    M = real.M
 
     def f(z):
         v = z - blk.r * (M @ z + blk.c)
@@ -332,7 +329,7 @@ def test_picard_map_and_rhs_match_project_implicit(scenario, gains, selector):
     for _ in range(100):
         z = blk.box.midpoint() + rng.normal(scale=3.0, size=blk.r.size)
         s = StateVector.split(z, spec.n)
-        p_ref = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real.M @ z + blk.c))
+        p_ref = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real @ z + blk.c))
         scale = max(np.abs(z).max(), np.abs(p_ref).max())
         p_got = fpds.picard_map(spec, real, s).as_array()
         assert np.abs(p_got - p_ref).max() <= 1e-15 * scale
@@ -365,8 +362,8 @@ def _direct_pece(spec, real, z0, t_end, steps):
     y = np.empty((2, z0.size))
     pred, corr = y
     with np.errstate(over="ignore", invalid="ignore"):
-        f, q = fpds.projection.rhs_form(spec, real.M, spec.gains)
-        f_corr, q_corr = fpds.projection.rhs_form(spec, real.M, c_corr * spec.gains)
+        f, q = fpds.projection.rhs_form(spec, real, spec.gains)
+        f_corr, q_corr = fpds.projection.rhs_form(spec, real, c_corr * spec.gains)
         f(z0, F[0])
         F[0] -= q
         base = z0 + J0[:, :, None] * F[0]
@@ -532,8 +529,7 @@ def _random_spec(d, seed):
     return fpds.validate_system(fpds.SystemSpec(
         n=n, m=m, alpha=0.8, rho=0.5, lam=0.5, a=rng.uniform(-2, 2, n), b=rng.uniform(-2, 2, m),
         A=interval(n, n, 1.5), Astar=interval(n, m), B=interval(m, m, 1.5), Bstar=interval(m, n),
-        shifts=fpds.ShiftMap(H=rng.uniform(-0.02, 0.02, (n, n)),
-                             L=rng.uniform(-0.02, 0.02, (m, m))),
+        H=rng.uniform(-0.02, 0.02, (n, n)), L=rng.uniform(-0.02, 0.02, (m, m)),
         box1=fpds.BoxSet(-np.ones(n), np.ones(n)), box2=fpds.BoxSet(-np.ones(m), np.ones(m)),
     ))
 

@@ -28,7 +28,7 @@ def test_interval_bound_order_error(ex42):
         n=2, m=0, alpha=0.9, rho=0.25, lam=1.0, a=[-4.8, 0.0], b=[],
         A=IntervalMatrix([[5.0, -1.1], [-1.8, 3.1]], [[4.0, 1.3], [3.8, 3.4]]),
         Astar=ex42.Astar, B=ex42.B, Bstar=ex42.Bstar,
-        shifts=ex42.shifts, box1=ex42.box1, box2=ex42.box2,
+        H=ex42.H, L=ex42.L, box1=ex42.box1, box2=ex42.box2,
     )
     with pytest.raises(SpecError, match="interval bound order"):
         fpds.validate_system(bad)
@@ -38,7 +38,7 @@ def test_box_bound_order_error(ex42):
     bad = fpds.SystemSpec(
         n=2, m=0, alpha=0.9, rho=0.25, lam=1.0, a=[-4.8, 0.0], b=[],
         A=ex42.A, Astar=ex42.Astar, B=ex42.B, Bstar=ex42.Bstar,
-        shifts=ex42.shifts,
+        H=ex42.H, L=ex42.L,
         box1=fpds.BoxSet([1.0, 0.0], [0.0, 0.5]),
         box2=ex42.box2,
     )
@@ -57,7 +57,7 @@ def test_scalar_parameter_errors(field, value, msg):
     spec = make_1d_spec()
     kwargs = {f: getattr(spec, f) for f in (
         "n", "m", "alpha", "rho", "lam", "a", "b", "A", "Astar", "B", "Bstar",
-        "shifts", "box1", "box2", "gains")}
+        "H", "L", "box1", "box2", "gains")}
     kwargs[field] = value
     with pytest.raises(SpecError, match=msg):
         fpds.validate_system(fpds.SystemSpec(**kwargs))
@@ -80,29 +80,29 @@ def test_sample_degenerate_interval():
     im = IntervalMatrix(M, M)
     for sel in ("lower", "upper", "midpoint"):
         np.testing.assert_array_equal(fpds.sample_matrix(im, sel), M)
-    np.testing.assert_array_equal(fpds.sample_matrix(im, "random", seed=7), M)
+    np.testing.assert_array_equal(
+        fpds.sample_matrix(im, "random", rng=np.random.default_rng(7)), M)
 
 
 def test_random_samples_stay_in_bounds(ex41):
     for seed in range(1000):
-        M = fpds.sample_matrix(ex41.B, "random", seed=seed)
+        M = fpds.sample_matrix(ex41.B, "random", rng=np.random.default_rng(seed))
         assert np.all(M >= ex41.B.lower) and np.all(M <= ex41.B.upper)
 
 
 def test_random_sampling_deterministic(ex41):
-    a = fpds.sample_matrix(ex41.A, "random", seed=42)
-    b = fpds.sample_matrix(ex41.A, "random", seed=42)
+    a = fpds.sample_matrix(ex41.A, "random", rng=np.random.default_rng(42))
+    b = fpds.sample_matrix(ex41.A, "random", rng=np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
 def test_realization_containment_check(ex41):
     real = fpds.sample_realization(ex41, "midpoint")
     fpds.check_realization(ex41, real)  # no raise
-    M = np.array(real.M)
+    M = np.array(real)
     M[:3, :3] += 100.0
-    bad = fpds.Realization(M)
     with pytest.raises(SpecError, match="realization outside"):
-        fpds.check_realization(ex41, bad)
+        fpds.check_realization(ex41, M)
 
 
 def _boundary_calls(ex41, w41):
@@ -120,13 +120,36 @@ def _boundary_calls(ex41, w41):
                                    "integrate"])
 def test_every_entry_point_checks_the_realization(ex41, w41, entry):
     call = _boundary_calls(ex41, w41)[entry]
-    M = np.array(fpds.sample_realization(ex41, "midpoint").M)
-    call(fpds.Realization(M))  # no raise
+    M = np.array(fpds.sample_realization(ex41, "midpoint"))
+    call(M)  # no raise
     M[1, 2] += 100.0
     with pytest.raises(SpecError, match=re.escape("realization outside intervals: M[1,2]")):
-        call(fpds.Realization(M))
+        call(M)
     with pytest.raises(SpecError, match=re.escape("dimension mismatch: M")):
-        call(fpds.Realization(M[:4, :4]))
+        call(M[:4, :4])
+
+
+@pytest.mark.parametrize("name", fpds.BUILTIN_NAMES)
+def test_a_realization_is_its_read_only_matrix(name):
+    spec = fpds.builtin_scenario(name)
+    d = spec.n + spec.m
+    for selector in fpds.model.SELECTORS:
+        M = fpds.sample_realization(spec, selector, seed=3)
+        assert type(M) is np.ndarray
+        assert M.dtype == np.float64 and M.shape == (d, d)
+        assert not M.flags.writeable
+        assert fpds.check_realization(spec, M.tolist()).tobytes() == M.tobytes()
+
+
+def test_a_nested_list_realization_gives_bitwise_equal_results(ex41, w41):
+    M = fpds.sample_realization(ex41, "random", seed=3)
+    z0 = fpds.StateVector(x=ex41.box1.hi + 1.0, y=ex41.box2.lo - 1.0)
+    eqs = [fpds.picard_solve(ex41, real, w41) for real in (M, M.tolist())]
+    assert eqs[0].point.as_array().tobytes() == eqs[1].point.as_array().tobytes()
+    assert eqs[0].step_norms.tobytes() == eqs[1].step_norms.tobytes()
+    assert eqs[0].residual == eqs[1].residual
+    trajs = [fpds.integrate(ex41, real, z0, 5.0, 300) for real in (M, M.tolist())]
+    assert trajs[0].states.tobytes() == trajs[1].states.tobytes()
 
 
 @pytest.mark.parametrize("name", fpds.BUILTIN_NAMES)
@@ -140,7 +163,7 @@ def test_seeded_sampling_matches_blockwise_draws(name):
             A, Astar, B, Bstar = (fpds.sample_matrix(getattr(spec, block), selector, rng=rng)
                                   for block in ("A", "Astar", "B", "Bstar"))
             want = np.block([[A, Astar], [Bstar, B]])
-            got = fpds.sample_realization(spec, selector, seed=seed).M
+            got = fpds.sample_realization(spec, selector, seed=seed)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (selector, seed)
 
@@ -150,8 +173,8 @@ def test_m_zero_blocks_are_empty(ex42):
     assert ex42.Astar.lower.shape == (2, 0)
     assert ex42.B.lower.shape == (0, 0)
     real = fpds.sample_realization(ex42, "midpoint")
-    assert real.M[2:, 2:].shape == (0, 0)
-    assert real.M[2:, :2].shape == (0, 2)
+    assert real[2:, 2:].shape == (0, 0)
+    assert real[2:, :2].shape == (0, 2)
 
 
 def test_empty_block_keeps_the_shape_it_is_given(ex42):
@@ -174,10 +197,9 @@ def _edited(spec, field, edit):
     """spec with the named field's value replaced by edit(value)."""
     if field == "lambda":
         return dataclasses.replace(spec, lam=edit(spec.lam))
-    if field in ("alpha", "rho", "a", "b", "gains"):
+    if field in ("alpha", "rho", "a", "b", "H", "L", "gains"):
         return dataclasses.replace(spec, **{field: edit(getattr(spec, field))})
-    outer, inner = (("shifts", field) if field in ("H", "L")
-                    else field.split("."))
+    outer, inner = field.split(".")
     obj = getattr(spec, outer)
     return dataclasses.replace(
         spec, **{outer: dataclasses.replace(obj, **{inner: edit(getattr(obj, inner))})})
@@ -210,7 +232,7 @@ def test_non_finite_field_rejected(ex41, field, bad):
 def test_overflowing_scaled_coupling_rejected(ex42, rho, A, H):
     # every entry is finite; the scaled blocks or the coupling T overflow
     spec = dataclasses.replace(ex42, rho=rho, A=IntervalMatrix(A, A),
-                               shifts=fpds.ShiftMap(H=H, L=np.zeros((0, 0))))
+                               H=H, L=np.zeros((0, 0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no overflow warning escapes
         with pytest.raises(SpecError, match="non-finite value in scaled coupling"):

@@ -49,7 +49,7 @@ def test_example_42_shifted_projection(ex42):
     # Hx = (-1.16, -0.462); clamping (5.8, -4.2) into Hx + box gives
     # (1.34, -0.462), worked out componentwise by hand
     x = np.array([5.8, -4.2])
-    out = project_implicit(ex42.shifts.H, ex42.box1, x, x)
+    out = project_implicit(ex42.H, ex42.box1, x, x)
     np.testing.assert_allclose(out, [1.34, -0.462], rtol=0, atol=1e-15)
 
 
@@ -129,8 +129,8 @@ def test_rhs_example_42_hand_evaluation(ex42):
     x = np.array([5.8, -4.2])
     expect = np.empty(2)
     for i in range(2):
-        drive = x[i] - 0.25 * (real.M[:2, :2][i] @ x + ex42.a[i])
-        u = ex42.shifts.H[i] @ x
+        drive = x[i] - 0.25 * (real[:2, :2][i] @ x + ex42.a[i])
+        u = ex42.H[i] @ x
         clamped = min(max(drive - u, ex42.box1.lo[i]), ex42.box1.hi[i])
         expect[i] = u + clamped - x[i]
     np.testing.assert_allclose(out.x, expect, rtol=0, atol=1e-14)
@@ -141,7 +141,7 @@ def test_rhs_gains_scale_each_equation():
     gained = fpds.SystemSpec(
         n=1, m=0, alpha=spec.alpha, rho=spec.rho, lam=spec.lam,
         a=spec.a, b=spec.b, A=spec.A, Astar=spec.Astar, B=spec.B,
-        Bstar=spec.Bstar, shifts=spec.shifts, box1=spec.box1, box2=spec.box2,
+        Bstar=spec.Bstar, H=spec.H, L=spec.L, box1=spec.box1, box2=spec.box2,
         gains=[2.5],
     )
     real = fpds.sample_realization(spec, "lower")
@@ -171,10 +171,10 @@ def test_rhs_hand_evaluation_both_blocks(scenario, gains, selector):
         return g * (u + min(max(drive - u, box.lo[i]), box.hi[i]) - v[i])
 
     n = spec.n
-    expect_x = [row(i, spec.rho, real.M[:n, :n], real.M[:n, n:], spec.a,
-                    spec.shifts.H, spec.box1, x, y, spec.gains[i]) for i in range(spec.n)]
-    expect_y = [row(j, spec.lam, real.M[n:, n:], real.M[n:, :n], spec.b,
-                    spec.shifts.L, spec.box2, y, x, spec.gains[spec.n + j])
+    expect_x = [row(i, spec.rho, real[:n, :n], real[:n, n:], spec.a,
+                    spec.H, spec.box1, x, y, spec.gains[i]) for i in range(spec.n)]
+    expect_y = [row(j, spec.lam, real[n:, n:], real[n:, :n], spec.b,
+                    spec.L, spec.box2, y, x, spec.gains[spec.n + j])
                 for j in range(spec.m)]
     np.testing.assert_allclose(out.x, expect_x, rtol=0, atol=1e-13)
     np.testing.assert_allclose(out.y, expect_y, rtol=0, atol=1e-13)
@@ -243,7 +243,7 @@ def test_affine_form_of_a_pattern_matches_the_clamp(scenario, gains):
     # clamp form, and the clamp argument lies in the pattern's region
     spec = fpds.builtin_scenario(scenario, gains=gains)
     real = fpds.sample_realization(spec, "random", seed=7)
-    form, _ = fpds.projection.rhs_form(spec, real.M, 0.7 * spec.gains)
+    form, _ = fpds.projection.rhs_form(spec, real, 0.7 * spec.gains)
     d = spec.n + spec.m
     mid = spec.blocks.box.midpoint()
     rng = np.random.default_rng(29)

@@ -62,8 +62,8 @@ def test_round_trip_is_field_exact(name):
                                       getattr(spec, block).lower)
         np.testing.assert_array_equal(getattr(back, block).upper,
                                       getattr(spec, block).upper)
-    np.testing.assert_array_equal(back.shifts.H, spec.shifts.H)
-    np.testing.assert_array_equal(back.shifts.L, spec.shifts.L)
+    np.testing.assert_array_equal(back.H, spec.H)
+    np.testing.assert_array_equal(back.L, spec.L)
     np.testing.assert_array_equal(back.box1.lo, spec.box1.lo)
     np.testing.assert_array_equal(back.box1.hi, spec.box1.hi)
     np.testing.assert_array_equal(back.box2.lo, spec.box2.lo)
@@ -120,7 +120,7 @@ def test_m_zero_spec_round_trips_through_load_spec(ex42):
     assert back.Astar.lower.shape == (2, 0)
     assert back.Bstar.lower.shape == (0, 2)
     assert back.B.upper.shape == (0, 0)
-    assert back.shifts.L.shape == (0, 0)
+    assert back.L.shape == (0, 0)
     assert serialize(back) == text
     # an empty block where a non-empty one belongs is a dimension error
     doc = json.loads(text)
