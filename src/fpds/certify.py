@@ -40,10 +40,10 @@ class Certificate:
     xi: np.ndarray
     zeta: np.ndarray
     kappa: float
-    theta: float
+    theta: float                # the decay rate min_j g_j (1 - kappa_j) ...
+    envelope_weights: Weights   # ... in the norm of w / g, g the gains
     min_slack: float
     passed: bool
-    gains_warning: bool
 
 
 def weighted_norm(w: Weights, s: StateVector) -> float:
@@ -57,6 +57,16 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
     zeta_j to lie strictly inside (0, 1); inequalities are checked exactly in
     floating point (no epsilon slack). min_slack reports how marginal the
     verdict is.
+
+    theta = min_j g_j (1 - kappa_j), kappa_j = (xi, zeta)_j and g the gains,
+    is a decay rate of every realization in the norm of envelope_weights
+    omega = w / g: V = sum_i omega_i |e_i|, e = z - z* its distance to its
+    equilibrium, obeys V(t) <= V(0) E_alpha(-theta t^alpha). Proof: with
+    D^alpha e = g (P(z) - P(z*) - e), D^alpha |e_i| <= sgn(e_i) D^alpha e_i
+    and |P(z) - P(z*)| <= K |e| for the K >= 0 with (w^T K)_j = kappa_j w_j,
+        D^alpha V <= sum_i w_i sgn(e_i) (P(z) - P(z*) - e)_i
+                  <= -sum_j w_j (1 - kappa_j) |e_j| <= -theta V.
+    At unit gains theta = 1 - kappa bitwise and omega = w.
     """
     n, m = spec.n, spec.m
     if w.mu.size != n or w.tau.size != m:
@@ -68,14 +78,13 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
     # sums of T plus the diagonal terms; the margins are a2 on x rows, a3 on y
     coeffs = (wz @ blk.T) / wz + np.abs(diag_s) + 1.0 - blk.r * np.diag(blk.M_lo) - diag_s
     margins = 1.0 - blk.r * np.diag(blk.M_hi) - diag_s
-    kappa = float(np.max(coeffs))
     ok = bool(np.all(margins >= 0.0) and np.all(coeffs > 0.0) and np.all(coeffs < 1.0))
     return Certificate(
         a2_margins=margins[:n], a3_margins=margins[n:], xi=coeffs[:n], zeta=coeffs[n:],
-        kappa=kappa, theta=1.0 - kappa,
+        kappa=float(np.max(coeffs)), theta=float(np.min(spec.gains * (1.0 - coeffs))),
+        envelope_weights=Weights(mu=w.mu / spec.gains[:n], tau=w.tau / spec.gains[n:]),
         min_slack=float(np.min(np.concatenate([margins, coeffs, 1.0 - coeffs]))),
         passed=ok,
-        gains_warning=bool(np.any(spec.gains != 1.0)),
     )
 
 

@@ -21,10 +21,8 @@ EXIT_INPUT = 66
 EXIT_NUMERIC = 70
 
 TOL_HELP = ("distance to the equilibrium at which the Picard iteration stops, in "
-            "the weighted l1 norm of the weights in use: scaling the weights by c "
-            "scales it by c. A tol below the iteration's rounding floor never "
-            "converges (example-4.1 at its auto weights, about 23.6: the step "
-            "stalls at 5.24e-15, above the stop threshold 4.38e-15 of tol 1e-13)")
+            "the weighted l1 norm of the weights in use (it scales with them); "
+            "below the iteration's rounding floor it never converges")
 
 
 class UsageError(Exception):
@@ -122,8 +120,6 @@ def _cmd_certify(args, out) -> int:
     print(f"kappa:      {_fmt(cert.kappa)}", file=out)
     print(f"theta:      {_fmt(cert.theta)}", file=out)
     print(f"min_slack:  {_fmt(cert.min_slack)}", file=out)
-    if cert.gains_warning:
-        print("warning: certificate ignores non-unit gains", file=out)
     print("pass" if cert.passed else "FAIL", file=out)
     return EXIT_OK if cert.passed else EXIT_FAIL
 
@@ -174,7 +170,8 @@ def _envelope_checker(args, out):
         if not eq.converged:
             raise _Unconverged(f"unconverged after {eq.iterations} iterations")
         traj = integrate(spec, M, z0, args.t_end, args.steps)
-        return envelope_check(traj, eq, w, cert.theta, slack=args.slack)
+        return envelope_check(traj, eq, cert.envelope_weights, cert.theta,
+                              slack=args.slack)
     return spec, check
 
 

@@ -49,10 +49,9 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
     certificate puts every xi_i, zeta_j and hence kappa inside (0, 1).
 
     tol is measured in the weighted l1 norm of w, so scaling w by c scales
-    the tolerance by c. A tol below the iteration's rounding floor never
-    converges: on example-4.1's lower realization at its auto weights (about
-    23.6) the step stalls at 5.24e-15, above the stop threshold 4.38e-15 of
-    tol 1e-13, and every one of the 100000 default iterations runs.
+    the tolerance by c. A step norm equal to one of the two before it has
+    reached the rounding floor (under contraction it falls otherwise), so the
+    iteration stops there unconverged: a tol below that floor never converges.
     """
     if not 0.0 < tol < math.inf:
         raise SpecError("tol must be finite and positive")
@@ -79,6 +78,8 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
         z += step
         if delta <= stop:
             converged = True
+            break
+        if delta in steps[-3:-1]:
             break
 
     a_priori = kappa ** k / (1.0 - kappa) * steps[0]

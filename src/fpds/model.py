@@ -106,13 +106,10 @@ class SystemSpec:
         object.__setattr__(self, "b", _vector(self.b))
         object.__setattr__(self, "H", _matrix(self.H))
         object.__setattr__(self, "L", _matrix(self.L))
-        if self.gains is None:
-            # sized from the arrays, not from n and m, which are not yet checked
-            g = np.ones(self.a.size + self.b.size)
-        else:
-            g = _vector(self.gains)
-        g.setflags(write=False)
-        object.__setattr__(self, "gains", g)
+        # default gains are sized from the arrays, not from n and m, which
+        # are not yet checked
+        g = np.ones(self.a.size + self.b.size) if self.gains is None else self.gains
+        object.__setattr__(self, "gains", _vector(g))
 
     @cached_property
     def blocks(self) -> BlockForm:
@@ -225,10 +222,8 @@ def sample_matrix(im: IntervalMatrix, selector: str,
     if selector == "midpoint":
         return im.midpoint()
     if selector == "random":
-        if rng is None:
-            rng = np.random.default_rng()
-        width = im.upper - im.lower
-        return im.lower + rng.random(im.lower.shape) * width
+        rng = np.random.default_rng() if rng is None else rng
+        return im.lower + rng.random(im.lower.shape) * (im.upper - im.lower)
     raise SpecError(f"unknown selector {selector!r}")
 
 

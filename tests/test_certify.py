@@ -43,7 +43,6 @@ def test_certificate_42_printed_values(ex42, w42):
     assert abs(cert.kappa - 0.95) <= 1e-12
     assert abs(cert.theta - 0.05) <= 1e-12
     assert cert.passed
-    assert not cert.gains_warning
 
 
 def test_certificate_scalar_half():
@@ -88,11 +87,14 @@ def test_widening_never_decreases_coefficients(ex41, w41):
 
 
 def test_theta_in_unit_interval_when_passing(ex41, ex42, w41, w42):
-    for spec, w in ((ex41, w41), (ex42, w42)):
+    # at unit gains theta is 1 - kappa and the envelope weights are w, bitwise
+    traffic = fpds.builtin_scenario("traffic-gstm")
+    for spec, w in ((ex41, w41), (ex42, w42), (traffic, find_weights(traffic))):
         cert = certificate(spec, w)
         assert cert.passed
         assert cert.theta == 1.0 - cert.kappa
         assert 0.0 < cert.theta < 1.0
+        np.testing.assert_array_equal(cert.envelope_weights.as_array(), w.as_array())
 
 
 @pytest.mark.parametrize("scenario,selector", [
@@ -262,13 +264,22 @@ def test_exact_matrix_no_shift_scalar_condition():
         assert cert.passed == cond
 
 
-def test_gains_warning_flag():
-    spec = fpds.builtin_scenario("traffic-gstm", gains=[1.0, 1.0, 2.0, 1.0])
-    w = find_weights(spec)
-    assert w is not None
-    assert certificate(spec, w).gains_warning
-    plain = fpds.builtin_scenario("traffic-gstm")
-    assert not certificate(plain, find_weights(plain)).gains_warning
+@pytest.mark.parametrize("scenario,gains", [("traffic-gstm", [1.0, 0.5, 2.0, 1.0]),
+                                            ("example-4.1", [0.3, 2.0, 1.7, 0.9, 0.5])])
+def test_theta_folds_in_the_gains(scenario, gains):
+    # theta = min_j g_j (1 - kappa_j) in the norm of w / g; the coefficients,
+    # kappa and the verdict do not depend on the gains
+    plain = fpds.builtin_scenario(scenario)
+    spec = fpds.builtin_scenario(scenario, gains=gains)
+    w = find_weights(plain)
+    base, cert = certificate(plain, w), certificate(spec, w)
+    coeffs = np.concatenate([cert.xi, cert.zeta])
+    np.testing.assert_array_equal(coeffs, np.concatenate([base.xi, base.zeta]))
+    assert (cert.kappa, cert.passed) == (base.kappa, base.passed)
+    g = np.array(gains)
+    assert cert.theta == np.min(g * (1.0 - coeffs))
+    assert cert.theta != base.theta
+    np.testing.assert_array_equal(cert.envelope_weights.as_array(), w.as_array() / g)
 
 
 def test_nonpositive_weights_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -112,14 +113,14 @@ def test_numeric_failure_exit(argv, message):
 @pytest.mark.parametrize("command", [["envelope"], ["sweep", "--samples", "2"]])
 def test_unconverged_equilibrium_is_numeric_error(command):
     # at tol 1e-13 the Picard step on example-4.1 stalls at its rounding
-    # floor, above the stop threshold, so there is no equilibrium to check
-    # an envelope against and no report or sample line is printed
+    # floor, above the stop threshold, so the solve stops there and there is
+    # no equilibrium to check an envelope against: no report or sample line
     code, text = capture([command[0], "example-4.1", *command[1:],
                           "--tol", "1e-13", "--steps", "400"])
     assert code == EXIT_NUMERIC
     weights, *rest = text.splitlines()
     assert weights.startswith("weights: auto mu=")
-    assert rest == ["numerical failure: unconverged after 100000 iterations"]
+    assert rest == ["numerical failure: unconverged after 58 iterations"]
 
 
 def test_spec_dimension_is_checked_before_default_gains_are_sized(tmp_path):
@@ -135,13 +136,28 @@ def test_spec_dimension_is_checked_before_default_gains_are_sized(tmp_path):
     assert text == "error: dimension mismatch: a is (2,), expected (1000000000000,)\n"
 
 
-def test_certify_warns_of_non_unit_gains(tmp_path):
+def test_certify_prints_the_gains_aware_theta(tmp_path):
+    spec = fpds.builtin_scenario("example-4.1", gains=[1.0, 2.0, 1.0, 0.5, 3.0])
     path = tmp_path / "gains.json"
-    path.write_text(fpds.serialize(
-        fpds.builtin_scenario("example-4.1", gains=[1.0, 2.0, 1.0, 0.5, 3.0])))
+    path.write_text(fpds.serialize(spec))
     code, text = capture(["certify", str(path)])
     assert code == EXIT_OK
-    assert text.endswith("warning: certificate ignores non-unit gains\npass\n")
+    cert = fpds.certificate(spec, fpds.find_weights(spec))
+    assert cert.theta < 1.0 - cert.kappa
+    assert text.endswith("theta:      %.17g\nmin_slack:  %.17g\npass\n"
+                         % (cert.theta, cert.min_slack))
+
+
+def test_envelope_of_a_low_gain_spec_passes(tmp_path):
+    # x' = 0.2 (clamp(0.5 x) - x) = -0.1 x inside the box: the certificate's
+    # rate is 0.2 (1 - 0.5) = 0.1, the exact one, where 1 - kappa = 0.5 FAILs
+    spec = make_1d_spec(A=0.5, a=0.0, lo=-100.0, hi=100.0, alpha=0.8)
+    path = tmp_path / "low-gain.json"
+    path.write_text(fpds.serialize(dataclasses.replace(spec, gains=[0.2])))
+    code, text = capture(["envelope", str(path), "--weights", "1", "--x0", "5",
+                          "--t-end", "30", "--steps", "6000"])
+    assert code == EXIT_OK
+    assert "theta:      0.10000000000000001\n" in text and text.endswith("pass\n")
 
 
 def test_unknown_command_is_usage_error():

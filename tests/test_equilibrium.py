@@ -137,6 +137,18 @@ def test_max_iter_reports_unconverged(ex42, w42):
     assert not eq.converged and eq.iterations == 2
 
 
+def test_stalled_step_norm_stops_unconverged(ex41):
+    # at tol 1e-13 example-4.1's step stalls at its rounding floor, above the
+    # stop threshold: the solve ends at the first repeated step norm rather
+    # than running out max_iter
+    real = fpds.sample_realization(ex41, "lower")
+    eq = picard_solve(ex41, real, fpds.find_weights(ex41), tol=1e-13)
+    assert not eq.converged and eq.iterations == 58 == eq.step_norms.size
+    steps = eq.step_norms
+    assert steps[-1] in steps[-3:-1]
+    assert len(set(steps[:-1])) == steps.size - 1     # no earlier repeat
+
+
 @pytest.mark.parametrize("kwargs,match", [
     ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"), ({"tol": 0.0}, "tol"),
     ({"tol": -1e-10}, "tol"), ({"max_iter": 0}, "max_iter"),

@@ -112,6 +112,68 @@ def test_envelope_passes_for_builtin_examples(scenario, x0, y0, selector):
     assert report.max_ratio <= 1.05
 
 
+def make_diag_spec(A, gains):
+    """x' = g (clamp((1 - A) x) - x) on the box +-100, alpha = 0.8: inside
+    the box coordinate j decays at exactly g_j (1 - kappa_j), kappa_j =
+    |1 - A_j|, so the certificate's min_j g_j (1 - kappa_j) is the exact
+    rate of the slowest one."""
+    d, z = len(A), np.zeros
+    return fpds.validate_system(fpds.SystemSpec(
+        n=d, m=0, alpha=0.8, rho=1.0, lam=1.0, a=z(d), b=[],
+        A=fpds.IntervalMatrix(np.diag(A), np.diag(A)),
+        Astar=fpds.IntervalMatrix(z((d, 0)), z((d, 0))),
+        B=fpds.IntervalMatrix(z((0, 0)), z((0, 0))),
+        Bstar=fpds.IntervalMatrix(z((0, d)), z((0, d))),
+        H=z((d, d)), L=z((0, 0)),
+        box1=fpds.BoxSet(np.full(d, -100.0), np.full(d, 100.0)),
+        box2=fpds.BoxSet([], []), gains=gains,
+    ))
+
+
+@pytest.mark.parametrize("A,gains,x0", [
+    ([0.5], [0.2], [5.0]),
+    ([0.5, 0.7, 0.3], [0.2, 1.5, 0.6], [5.0, 0.0, 0.0]),
+])
+def test_gains_aware_theta_is_the_exact_rate(A, gains, x0):
+    # the slowest coordinate, started alone, decays at exactly 0.1; the
+    # gains-blind 1 - kappa (0.5 in 1-D, 0.3 in 3-D) is too fast a rate
+    spec = make_diag_spec(A, gains)
+    w = Weights(mu=np.ones(len(A)), tau=[])
+    cert = fpds.certificate(spec, w)
+    assert cert.passed and cert.theta == pytest.approx(0.1, rel=1e-15)
+    real = fpds.sample_realization(spec, "lower")
+    eq = picard_solve(spec, real, w)
+    traj = integrate(spec, real, StateVector(x=x0, y=[]), 30.0, 6000)
+
+    def ratio(theta):
+        return envelope_check(traj, eq, cert.envelope_weights, theta).max_ratio
+
+    assert ratio(cert.theta) < 1.0 + 1e-6
+    assert ratio(1.1 * cert.theta) > 1.1
+    assert ratio(1.0 - cert.kappa) > 3.0
+
+
+@pytest.mark.parametrize("scenario", fpds.BUILTIN_NAMES)
+def test_envelope_holds_at_the_certified_rate_across_the_family(scenario):
+    # random realizations, unit and mixed gains, from the box midpoint and
+    # from a far start: every run stays under the certificate's envelope
+    plain = fpds.builtin_scenario(scenario)
+    rng = np.random.default_rng(5)
+    d = plain.n + plain.m
+    w = fpds.find_weights(plain)
+    mid = plain.blocks.box.midpoint()
+    starts = (mid, mid + 20.0 * rng.choice([-1.0, 1.0], d))
+    for gains in (None, rng.uniform(0.3, 3.0, d)):
+        spec = fpds.builtin_scenario(scenario, gains=gains)
+        cert = fpds.certificate(spec, w)
+        for seed in range(10):
+            real = fpds.sample_realization(spec, "random", seed=seed)
+            eq = picard_solve(spec, real, w)
+            for z0 in starts:
+                traj = integrate(spec, real, StateVector.split(z0, spec.n), 20.0, 400)
+                assert envelope_check(traj, eq, cert.envelope_weights, cert.theta).passed
+
+
 def test_constructed_violation_fails(ex42, w42):
     # freeze the tail at the initial distance: V(t) = V(0) must eventually
     # exceed the decaying envelope
