@@ -5,7 +5,8 @@ All contraction and stability quantities live in the weighted l1 norm
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,22 +16,28 @@ from .projection import StateVector
 
 @dataclass(frozen=True)
 class Weights:
-    """Positive scaling vectors defining the weighted l1 norm."""
+    """Positive scaling vectors defining the weighted l1 norm. Both are
+    read-only views of one joined vector, checked once on construction."""
 
     mu: np.ndarray
     tau: np.ndarray
+    _joined: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float).reshape(-1))
-        object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float).reshape(-1))
-        if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.tau))):
-            raise SpecError("non-finite weights")
-        if np.any(self.mu <= 0.0) or np.any(self.tau <= 0.0):
-            raise SpecError("nonpositive weights")
+        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        w = np.concatenate([mu, np.asarray(self.tau, dtype=float).reshape(-1)])
+        # NaN fails both comparisons; an empty vector passes
+        if not (w.min(initial=math.inf) > 0.0 and w.max(initial=0.0) < math.inf):
+            raise SpecError("non-finite weights" if not np.isfinite(w).all()
+                            else "nonpositive weights")
+        w.setflags(write=False)
+        object.__setattr__(self, "mu", w[: mu.size])
+        object.__setattr__(self, "tau", w[mu.size :])
+        object.__setattr__(self, "_joined", w)
 
     def as_array(self) -> np.ndarray:
-        """The weights of z = (x, y): mu then tau."""
-        return np.concatenate([self.mu, self.tau])
+        """The weights of z = (x, y): mu then tau, read-only."""
+        return self._joined
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,9 @@ class Certificate:
     xi: np.ndarray
     zeta: np.ndarray
     kappa: float
-    theta: float                # the decay rate min_j g_j (1 - kappa_j) ...
-    envelope_weights: Weights   # ... in the norm of w / g, g the gains
+    theta: float                       # the decay rate min_j g_j (1 - kappa_j) ...
+    envelope_weights: Weights | None   # ... in the norm of w / g, g the gains;
+                                       # None where w / g overflows
     min_slack: float
     passed: bool
 
@@ -73,18 +81,23 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
         raise SpecError("dimension mismatch: weights")
     blk = spec.blocks
     wz = w.as_array()
-    diag_s = np.diag(blk.S)
     # in the block form of SystemSpec.blocks, (xi, zeta) are weighted column
-    # sums of T plus the diagonal terms; the margins are a2 on x rows, a3 on y
-    coeffs = (wz @ blk.T) / wz + np.abs(diag_s) + 1.0 - blk.r * np.diag(blk.M_lo) - diag_s
-    margins = 1.0 - blk.r * np.diag(blk.M_hi) - diag_s
-    ok = bool(np.all(margins >= 0.0) and np.all(coeffs > 0.0) and np.all(coeffs < 1.0))
+    # sums of T plus the spec's diagonal terms; the margins are a2 on x rows,
+    # a3 on y rows
+    coeffs = (wz @ blk.T) / wz + blk.abs_diag_s + 1.0 - blk.r_diag_lo - blk.diag_s
+    lo, hi = float(coeffs.min()), float(coeffs.max())
+    with np.errstate(over="ignore"):
+        omega = wz / spec.gains
+    try:
+        envelope_weights = Weights(mu=omega[:n], tau=omega[n:])
+    except SpecError:       # w / g overflows (a subnormal gain) or underflows
+        envelope_weights = None
     return Certificate(
-        a2_margins=margins[:n], a3_margins=margins[n:], xi=coeffs[:n], zeta=coeffs[n:],
-        kappa=float(np.max(coeffs)), theta=float(np.min(spec.gains * (1.0 - coeffs))),
-        envelope_weights=Weights(mu=w.mu / spec.gains[:n], tau=w.tau / spec.gains[n:]),
-        min_slack=float(np.min(np.concatenate([margins, coeffs, 1.0 - coeffs]))),
-        passed=ok,
+        a2_margins=blk.margins[:n], a3_margins=blk.margins[n:], xi=coeffs[:n],
+        zeta=coeffs[n:], kappa=hi, theta=float(np.min(spec.gains * (1.0 - coeffs))),
+        envelope_weights=envelope_weights,
+        min_slack=min(blk.min_margin, lo, 1.0 - hi),
+        passed=blk.min_margin >= 0.0 and lo > 0.0 and hi < 1.0,
     )
 
 
@@ -94,8 +107,7 @@ def comparison_system(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
     and then any w with (diag(d) - C) w > 0 works. C is the transpose of the
     coupling matrix T of SystemSpec.blocks."""
     blk = spec.blocks
-    diag_s = np.diag(blk.S)
-    return blk.r * np.diag(blk.M_lo) + diag_s - np.abs(diag_s), blk.T.T.copy()
+    return blk.r_diag_lo + blk.diag_s - blk.abs_diag_s, blk.T.T.copy()
 
 
 def find_weights(spec: SystemSpec) -> Weights | None:

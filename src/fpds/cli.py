@@ -164,6 +164,8 @@ def _envelope_checker(args, out):
     cert = certificate(spec, w)
     if not cert.passed:
         raise CertificateError("certificate fails")
+    if cert.envelope_weights is None:
+        raise CertificateError("envelope weights w / g overflow")
 
     def check(M: np.ndarray):
         eq = picard_solve(spec, M, w, tol=args.tol)

@@ -69,7 +69,10 @@ class BlockForm(NamedTuple):
     """A spec as one system in z = (x, y): step sizes r (rho on x rows, lam on
     y rows), c = (a, b), S = blockdiag(H, L), the joined box K = K1 x K2,
     bounds M_lo and M_hi of M = [[A, A*], [B*, B]], and the worst-case
-    coupling T = |S| + max(|r M_lo + S|, |r M_hi + S|) with zero diagonal."""
+    coupling T = |S| + max(|r M_lo + S|, |r M_hi + S|) with zero diagonal.
+    The certificate's diagonal terms depend on the spec alone and are kept
+    here too: diag S, |diag S|, r diag M_lo, the diagonal margins
+    1 - r diag M_hi - diag S and their minimum."""
 
     r: np.ndarray
     c: np.ndarray
@@ -78,6 +81,11 @@ class BlockForm(NamedTuple):
     M_lo: np.ndarray
     M_hi: np.ndarray
     T: np.ndarray
+    diag_s: np.ndarray
+    abs_diag_s: np.ndarray
+    r_diag_lo: np.ndarray
+    margins: np.ndarray
+    min_margin: float
 
 
 @dataclass(frozen=True)
@@ -123,11 +131,16 @@ class SystemSpec:
                                    np.abs(r[:, None] * M_hi + S))
         np.fill_diagonal(T, 0.0)
         c = np.concatenate([self.a, self.b])
-        for arr in (r, c, S, M_lo, M_hi, T):
+        diag_s = np.diag(S)
+        abs_diag_s, r_diag_lo = np.abs(diag_s), r * np.diag(M_lo)
+        margins = 1.0 - r * np.diag(M_hi) - diag_s
+        for arr in (r, c, S, M_lo, M_hi, T, diag_s, abs_diag_s, r_diag_lo, margins):
             arr.setflags(write=False)
         box = BoxSet(lo=np.concatenate([self.box1.lo, self.box2.lo]),
                      hi=np.concatenate([self.box1.hi, self.box2.hi]))
-        return BlockForm(r=r, c=c, S=S, box=box, M_lo=M_lo, M_hi=M_hi, T=T)
+        return BlockForm(r=r, c=c, S=S, box=box, M_lo=M_lo, M_hi=M_hi, T=T,
+                         diag_s=diag_s, abs_diag_s=abs_diag_s, r_diag_lo=r_diag_lo,
+                         margins=margins, min_margin=float(margins.min()))
 
 
 def _assemble(n: int, m: int, parts) -> np.ndarray:
@@ -170,11 +183,15 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
         raise SpecError("dimension mismatch: n must be >= 1")
     if spec.m < 0:
         raise SpecError("dimension mismatch: m must be >= 0")
-    for name, value, shape in _fields(spec):
+    fields = _fields(spec)
+    # one finiteness test of every number; only if it fails does each field
+    # get its own, so that the error names the first field at fault
+    finite = np.isfinite(np.concatenate([np.ravel(v) for _, v, _ in fields])).all()
+    for name, value, shape in fields:
         if np.shape(value) != shape:
             raise SpecError(
                 f"dimension mismatch: {name} is {np.shape(value)}, expected {shape}")
-        if not np.all(np.isfinite(value)):
+        if not (finite or np.isfinite(value).all()):
             raise SpecError(f"non-finite value in {name}")
     if not (0.0 < spec.alpha <= 1.0):
         raise SpecError("alpha outside (0, 1]")
@@ -184,14 +201,14 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
         raise SpecError("nonpositive lambda")
     for name, _, _ in BLOCKS:
         im = getattr(spec, name)
-        bad = np.argwhere(im.lower > im.upper)
-        if bad.size:
-            i, j = bad[0]
+        bad = im.lower > im.upper
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise SpecError(f"interval bound order: {name}[{i},{j}] has lower > upper")
     for name, box in (("box1", spec.box1), ("box2", spec.box2)):
-        bad = np.argwhere(box.lo > box.hi)
-        if bad.size:
-            raise SpecError(f"box bound order: {name}[{bad[0, 0]}] has lo > hi")
+        bad = box.lo > box.hi
+        if bad.any():
+            raise SpecError(f"box bound order: {name}[{np.argmax(bad)}] has lo > hi")
     if np.any(spec.gains <= 0.0):
         raise SpecError("nonpositive gain")
     # finite entries can still overflow once scaled by rho or lambda. T is
@@ -199,7 +216,7 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
     # zeroed diagonal, which is checked apart
     with np.errstate(over="ignore"):
         blk = spec.blocks
-        diag = (blk.r * np.diag(blk.M_lo), blk.r * np.diag(blk.M_hi))
+        diag = (blk.r_diag_lo, blk.r * np.diag(blk.M_hi))
     if not (np.all(np.isfinite(blk.T)) and np.all(np.isfinite(diag))):
         raise SpecError("non-finite value in scaled coupling")
     return spec
@@ -231,7 +248,10 @@ def sample_realization(spec: SystemSpec, selector: str,
                        seed: int | None = None) -> np.ndarray:
     """A realization: its read-only M = [[A, A*], [B*, B]] (A = M[:n, :n]),
     sampled blockwise with one selector, in BLOCKS order and, for random,
-    from one generator, so a seed fixes every block."""
+    from one generator, so a seed fixes every block. The vertices are the
+    spec's own assembled bounds M_lo and M_hi."""
+    if selector in ("lower", "upper"):
+        return spec.blocks.M_lo if selector == "lower" else spec.blocks.M_hi
     rng = np.random.default_rng(seed) if selector == "random" else None
     parts = [sample_matrix(getattr(spec, name), selector, rng=rng) for name, _, _ in BLOCKS]
     return _matrix(_assemble(spec.n, spec.m, parts))

@@ -5,7 +5,7 @@ import fpds
 from fpds import (StateVector, Weights, certificate, comparison_system,
                   find_weights)
 
-from conftest import make_1d_spec
+from conftest import make_1d_spec, random_network
 
 
 def test_tilde_042_offdiagonal(ex42):
@@ -296,3 +296,60 @@ def test_non_finite_weights_rejected(bad):
 def test_mis_sized_weights_rejected(ex41):
     with pytest.raises(fpds.SpecError, match="dimension mismatch: weights"):
         certificate(ex41, Weights(mu=np.ones(3), tau=np.ones(1)))
+
+
+def test_non_finite_is_reported_before_nonpositive():
+    with pytest.raises(fpds.SpecError, match="non-finite weights"):
+        Weights(mu=[-1.0], tau=[np.inf])
+
+
+def test_weights_are_read_only_views_of_one_vector():
+    w = Weights(mu=[1.0, 2.0], tau=[3.0])
+    joined = w.as_array()
+    assert joined.tolist() == [1.0, 2.0, 3.0] and not joined.flags.writeable
+    assert np.shares_memory(w.mu, joined) and np.shares_memory(w.tau, joined)
+
+
+def _by_formula(spec, w):
+    """The certificate's coefficients, margins and min_slack, each term
+    evaluated from the blocks on the spot in the certificate's order."""
+    blk = spec.blocks
+    wz = w.as_array()
+    diag_s = np.diag(blk.S)
+    coeffs = (wz @ blk.T) / wz + np.abs(diag_s) + 1.0 - blk.r * np.diag(blk.M_lo) - diag_s
+    margins = 1.0 - blk.r * np.diag(blk.M_hi) - diag_s
+    return coeffs, margins, float(np.min(np.concatenate([margins, coeffs, 1.0 - coeffs])))
+
+
+@pytest.mark.parametrize("spec", [
+    *(fpds.builtin_scenario(name) for name in fpds.BUILTIN_NAMES),
+    fpds.builtin_scenario("example-4.1", gains=[0.3, 2.0, 1.7, 0.9, 0.5]),
+    fpds.builtin_scenario("traffic-gstm", gains=[1.0, 0.5, 2.0, 1.0]),
+    *(random_network(size, size) for size in (5, 40, 200)),
+])
+def test_spec_terms_give_the_certificate_bitwise(spec):
+    # the per-spec diagonal terms of SystemSpec.blocks give the same bits as
+    # evaluating them per call, at the found and at unit weights
+    d = spec.n + spec.m
+    for w in (find_weights(spec), Weights(mu=np.ones(spec.n), tau=np.ones(spec.m))):
+        cert = certificate(spec, w)
+        coeffs, margins, min_slack = _by_formula(spec, w)
+        assert np.concatenate([cert.xi, cert.zeta]).tobytes() == coeffs.tobytes()
+        assert np.concatenate([cert.a2_margins, cert.a3_margins]).tobytes() == margins.tobytes()
+        assert cert.min_slack == min_slack and cert.kappa == coeffs.max()
+        assert cert.passed == bool(np.all(margins >= 0.0) and np.all(coeffs > 0.0)
+                                   and np.all(coeffs < 1.0))
+        assert cert.envelope_weights.as_array().tobytes() == (w.as_array() / spec.gains).tobytes()
+    d_vec, C = comparison_system(spec)
+    diag_s = np.diag(spec.blocks.S)
+    want = spec.blocks.r * np.diag(spec.blocks.M_lo) + diag_s - np.abs(diag_s)
+    assert d_vec.tobytes() == want.tobytes() and C.shape == (d, d)
+
+
+def test_subnormal_gain_has_no_envelope_weights():
+    # w / g overflows at g = 1e-310: the certificate still decides, without
+    # an overflow warning, and has no envelope weights to offer
+    spec = fpds.builtin_scenario("example-4.2", gains=[1e-310, 1.0])
+    cert = certificate(spec, find_weights(spec))
+    assert cert.passed and cert.envelope_weights is None
+    assert 0.0 < cert.theta < 1e-300

@@ -120,7 +120,29 @@ def test_unconverged_equilibrium_is_numeric_error(command):
     assert code == EXIT_NUMERIC
     weights, *rest = text.splitlines()
     assert weights.startswith("weights: auto mu=")
-    assert rest == ["numerical failure: unconverged after 58 iterations"]
+    assert rest == ["numerical failure: unconverged after 6 iterations"]
+
+
+@pytest.mark.parametrize("command,code,last", [
+    (["certify"], EXIT_OK, "pass"),
+    (["envelope", "--steps", "200"], EXIT_NUMERIC,
+     "numerical failure: envelope weights w / g overflow"),
+    (["sweep", "--samples", "2", "--steps", "200"], EXIT_NUMERIC,
+     "numerical failure: envelope weights w / g overflow"),
+])
+def test_subnormal_gain(tmp_path, command, code, last):
+    # at gains (1e-310, 1) the envelope weights w / g overflow: certify
+    # still prints its lines and its verdict, and the envelope commands stop
+    # with a numerical error that names the overflow; no RuntimeWarning
+    path = tmp_path / "subnormal.json"
+    path.write_text(fpds.serialize(fpds.builtin_scenario("example-4.2",
+                                                         gains=[1e-310, 1.0])))
+    got, text = capture([command[0], str(path), *command[1:]])
+    lines = text.splitlines()
+    assert got == code and lines[-1] == last
+    if command == ["certify"]:
+        assert [line.split(":")[0] for line in lines[1:-1]] == [
+            "a2_margins", "a3_margins", "xi", "zeta", "kappa", "theta", "min_slack"]
 
 
 def test_spec_dimension_is_checked_before_default_gains_are_sized(tmp_path):

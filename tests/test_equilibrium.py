@@ -4,7 +4,7 @@ import pytest
 import fpds
 from fpds import StateVector, Weights, picard_solve, residual
 
-from conftest import make_1d_spec
+from conftest import make_1d_spec, random_network
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_stalled_step_norm_stops_unconverged(ex41):
     # than running out max_iter
     real = fpds.sample_realization(ex41, "lower")
     eq = picard_solve(ex41, real, fpds.find_weights(ex41), tol=1e-13)
-    assert not eq.converged and eq.iterations == 58 == eq.step_norms.size
+    assert not eq.converged and eq.iterations == 6 == eq.step_norms.size
     steps = eq.step_norms
     assert steps[-1] in steps[-3:-1]
     assert len(set(steps[:-1])) == steps.size - 1     # no earlier repeat
@@ -187,15 +187,91 @@ def test_picard_solve_ignores_the_gains(scenario, gains):
 
 @pytest.mark.parametrize("selector", ["lower", "upper", "random"])
 @pytest.mark.parametrize("scenario", fpds.BUILTIN_NAMES)
-def test_picard_solve_matches_iteration_through_project_implicit(scenario, selector):
-    # the same number of steps of z <- project_implicit(S, K, z, z - r (M z + c))
-    # from the box midpoint reach the solver's point up to rounding
+def test_picard_solve_point_is_fixed_by_project_implicit(scenario, selector):
+    # the exact finish lands on the fixed point up to rounding: one step of
+    # z <- project_implicit(S, K, z, z - r (M z + c)) from the solver's point
+    # moves it by no more than rounding (plain Picard leaves up to tol)
     spec = fpds.builtin_scenario(scenario)
     blk = spec.blocks
     real = fpds.sample_realization(spec, selector, seed=6)
-    eq = picard_solve(spec, real, fpds.find_weights(spec))
-    z = blk.box.midpoint()
-    for _ in range(eq.iterations):
-        z = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real @ z + blk.c))
-    got = eq.point.as_array()
+    got = picard_solve(spec, real, fpds.find_weights(spec)).point.as_array()
+    z = fpds.project_implicit(blk.S, blk.box, got, got - blk.r * (real @ got + blk.c))
     assert np.abs(got - z).max() <= 1e-14 * np.abs(got).max()
+
+
+def _plain(monkeypatch):
+    """Turn the exact finish off: picard_solve is then plain Picard."""
+    monkeypatch.setattr(fpds.equilibrium, "_worth_solving", lambda *args: False)
+
+
+def _solves(monkeypatch):
+    """Record the size of every linear solve that picard_solve makes."""
+    sizes, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, b: sizes.append(b.size) or solve(A, b))
+    return sizes
+
+
+@pytest.mark.parametrize("size", [5, 17, 60, 150, 300])
+def test_exact_finish_on_random_networks(size):
+    # against plain Picard run to its rounding floor (a tol far below it):
+    # every point is within tol, the step norms still contract by kappa, and
+    # no solve takes more iterations than plain Picard
+    spec = random_network(size, size)
+    w = fpds.find_weights(spec)
+    kappa, tol = fpds.certificate(spec, w).kappa, 1e-10
+    for selector in ("lower", "upper", "random"):
+        real = fpds.sample_realization(spec, selector, seed=size)
+        eq = picard_solve(spec, real, w, tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            _plain(mp)
+            plain = picard_solve(spec, real, w, tol=tol)
+            floor = picard_solve(spec, real, w, tol=1e-300)
+        assert eq.converged and not floor.converged
+        assert w.as_array() @ np.abs(eq.point.as_array() - floor.point.as_array()) <= tol
+        steps = eq.step_norms
+        assert np.all(steps[1:] <= kappa * steps[:-1] + 1e-15)
+        assert eq.iterations <= plain.iterations
+
+
+def test_a_dropped_jump_still_converges(monkeypatch):
+    # 1-D, P(x) = clamp(0.9 x + 10, -1000, 10) from x = -50: the first two
+    # steps stay inside the box, so the first jump goes to that piece's fixed
+    # point 100, where the step (to 10) is 90 > kappa 13.5. It is dropped and
+    # plain Picard goes on (third step 12.15, not 90) to the fixed point 10
+    spec = make_1d_spec(A=1.0, a=-100.0, rho=0.1, lo=-1000.0, hi=10.0)
+    w = Weights(mu=[1.0], tau=[])
+    sizes = _solves(monkeypatch)
+    eq = picard_solve(spec, fpds.sample_realization(spec, "lower"), w,
+                      start=StateVector(x=[-50.0], y=[]))
+    assert sizes == [1]
+    assert eq.converged and eq.point.x[0] == 10.0
+    np.testing.assert_allclose(eq.step_norms[:3], [15.0, 13.5, 12.15], rtol=1e-12)
+    assert np.all(eq.step_norms[1:] <= 0.9 * eq.step_norms[:-1] * (1 + 1e-12))
+
+
+def test_size_rule(monkeypatch):
+    # a solve is tried only while d < 6 n, n the iterations left at the
+    # observed rate: at rate 1/2, 30 halvings from 1 down to 2^-30
+    worth = fpds.equilibrium._worth_solving
+    assert worth(179, 1.0, 2.0, 2.0 ** -30) and not worth(181, 1.0, 2.0, 2.0 ** -30)
+    assert worth(10_000, 1.0, 1.0, 1e-10)         # no fall: the rounding floor
+    # 300 unknowns with about 30 iterations left: no solve, so the result is
+    # plain Picard's bitwise; 17 unknowns: a solve and far fewer iterations
+    spec = random_network(300, 300)
+    w = fpds.find_weights(spec)
+    real = fpds.sample_realization(spec, "lower")
+    sizes = _solves(monkeypatch)
+    eq = picard_solve(spec, real, w)
+    assert sizes == []
+    _plain(monkeypatch)
+    plain = picard_solve(spec, real, w)
+    np.testing.assert_array_equal(eq.point.as_array(), plain.point.as_array())
+    np.testing.assert_array_equal(eq.step_norms, plain.step_norms)
+    small = random_network(17, 17)
+    w = fpds.find_weights(small)
+    real = fpds.sample_realization(small, "lower")
+    plain = picard_solve(small, real, w)
+    monkeypatch.undo()
+    sizes = _solves(monkeypatch)
+    eq = picard_solve(small, real, w)
+    assert sizes == [17] and eq.iterations < plain.iterations / 3

@@ -75,6 +75,18 @@ def test_sample_lower_matches_printed_bounds(ex42):
     )
 
 
+@pytest.mark.parametrize("name", fpds.BUILTIN_NAMES)
+def test_vertices_are_the_assembled_bounds(name):
+    # lower/upper return the spec's own read-only M_lo/M_hi, which hold the
+    # block bounds at their places
+    spec = fpds.builtin_scenario(name)
+    blk = spec.blocks
+    for selector, M, bound in (("lower", blk.M_lo, "lower"), ("upper", blk.M_hi, "upper")):
+        assert fpds.sample_realization(spec, selector) is M
+        parts = [getattr(getattr(spec, block), bound) for block, _, _ in fpds.model.BLOCKS]
+        assert M.tobytes() == fpds.model._assemble(spec.n, spec.m, parts).tobytes()
+
+
 def test_sample_degenerate_interval():
     M = [[1.0, 2.0], [3.0, 4.0]]
     im = IntervalMatrix(M, M)
