@@ -75,7 +75,15 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
         D^alpha V <= sum_i w_i sgn(e_i) (P(z) - P(z*) - e)_i
                   <= -sum_j w_j (1 - kappa_j) |e_j| <= -theta V.
     At unit gains theta = 1 - kappa bitwise and omega = w.
+
+    The spec keeps the last result, as a cached_property would, with the
+    Weights object it was computed for, and returns it (arrays read-only)
+    for that same object: find_weights, the caller and every picard_solve
+    given its weights share one evaluation.
     """
+    last = spec.__dict__.get("_certificate")
+    if last is not None and last[0] is w:
+        return last[1]
     n, m = spec.n, spec.m
     if w.mu.size != n or w.tau.size != m:
         raise SpecError("dimension mismatch: weights")
@@ -85,6 +93,7 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
     # sums of T plus the spec's diagonal terms; the margins are a2 on x rows,
     # a3 on y rows
     coeffs = (wz @ blk.T) / wz + blk.abs_diag_s + 1.0 - blk.r_diag_lo - blk.diag_s
+    coeffs.setflags(write=False)
     lo, hi = float(coeffs.min()), float(coeffs.max())
     with np.errstate(over="ignore"):
         omega = wz / spec.gains
@@ -92,13 +101,16 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
         envelope_weights = Weights(mu=omega[:n], tau=omega[n:])
     except SpecError:       # w / g overflows (a subnormal gain) or underflows
         envelope_weights = None
-    return Certificate(
+    cert = Certificate(
         a2_margins=blk.margins[:n], a3_margins=blk.margins[n:], xi=coeffs[:n],
         zeta=coeffs[n:], kappa=hi, theta=float(np.min(spec.gains * (1.0 - coeffs))),
         envelope_weights=envelope_weights,
         min_slack=min(blk.min_margin, lo, 1.0 - hi),
         passed=blk.min_margin >= 0.0 and lo > 0.0 and hi < 1.0,
     )
+    # holding w keeps its identity from passing to another object
+    spec.__dict__["_certificate"] = (w, cert)
+    return cert
 
 
 def comparison_system(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:

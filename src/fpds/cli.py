@@ -10,7 +10,7 @@ import numpy as np
 from . import scenarios
 from .certify import Weights, certificate, find_weights
 from .equilibrium import CertificateError, picard_solve
-from .fde import IntegrationError, envelope_check, integrate
+from .fde import IntegrationError, check_slack, envelope_check, integrate
 from .model import SELECTORS, SpecError, SystemSpec, sample_realization
 from .projection import StateVector
 
@@ -155,7 +155,9 @@ def _envelope_checker(args, out):
     found; check(M) runs picard_solve, integrate and envelope_check, and
     raises _Unconverged if the equilibrium it checks against did not
     converge. The certificate does not depend on the realization, so it is
-    checked here, once per run, and its θ serves every check."""
+    checked here, once per run, and its θ serves every check; so is the
+    slack, before any solve."""
+    check_slack(args.slack)
     spec = _load_scenario(args.scenario)
     z0 = _initial_state(spec, args.x0, args.y0)
     w = _resolve_weights(spec, args.weights, out)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import Weights, certificate
-from .model import SpecError, SystemSpec, check_realization
+from .model import SpecError, SystemSpec, as_count, check_realization
 from .projection import StateVector, _flat, _scaled_step, rhs_form
 
 
@@ -58,7 +58,9 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
     ||z_{k+1} - z*|| <= tol. If max_iter is hit first, the best iterate is
     returned with converged=False. The default start is the box midpoint.
     tol must be finite and positive and max_iter at least 1; a passing
-    certificate puts every xi_i, zeta_j and hence kappa inside (0, 1).
+    certificate puts every xi_i, zeta_j and hence kappa inside (0, 1); the
+    spec keeps it per Weights object (`certificate`), so a solve given the
+    weights of find_weights evaluates none.
 
     Exact finish: on a fixed clamp pattern p the map is affine,
     P(z) = z + A_p z + b_p - q (`AffineClamp.affine`), so once two
@@ -79,6 +81,7 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
     """
     if not 0.0 < tol < math.inf:
         raise SpecError("tol must be finite and positive")
+    max_iter = as_count(max_iter, "max_iter")
     if max_iter < 1:
         raise SpecError("max_iter must be >= 1")
     cert = certificate(spec, w)

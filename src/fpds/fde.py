@@ -14,13 +14,15 @@ cost down, both exact up to rounding:
 - Piecewise-affine blocks. The right-hand side
   f(z) = R_top z - q + clamp(R_bot z, lo', hi') is affine wherever its clamp
   pattern (each row below, inside or above its bounds) is fixed. One exact
-  PECE step, a probe, gives the patterns by its two evaluations; a block
-  then solves its rows as one linear recurrence, with one batched product
-  by a strip of the recurrence's resolvent blocks, and one vectorized pass
-  keeps the longest prefix of rows that are finite and keep both patterns.
-  The next block continues under the same patterns without a probe, across
-  leaf ends too; a probe runs only at the first step and where a block
-  stopped early.
+  PECE step, a probe, gives the patterns by its two evaluations. Once
+  CONFIRM probes in a row gave the same pair, a block solves its rows as
+  one linear recurrence, with one batched product by a strip of the
+  recurrence's resolvent blocks, which grows by doubling, and one
+  vectorized pass keeps the longest prefix of rows that are finite and
+  keep both patterns. The next block continues under the same patterns
+  without a probe, across leaf ends too; probes run only at the first steps
+  and where a block stopped early, until a pair is confirmed or the last
+  block's pair comes back.
 
 Everything that depends on (alpha, h, steps) alone, the weights and their
 arrangements for the history sums, is one cached read-only table
@@ -28,12 +30,13 @@ arrangements for the history sums, is one cached read-only table
 it once; only the last table is kept.
 
 The gain rests on one property of the trajectories: the clamp pattern
-changes rarely. Measured shares of rows computed in affine blocks: 99.96%
-on sweep-ex41 (example-4.1, 4000 steps, 1 to 5 pattern pairs a run);
-99.6-99.7% on envelope-long's examples and 98.1% on its traffic-gstm
-requests (350 steps, 6 to 7 pattern pairs, all in the first 20 steps);
-99.3% on the builtins at h = 2; worst seen, the builtins at h = 5, where
-the explicit predictor is unstable: 88-96% of the steps before the state
+changes rarely. Measured shares of rows computed in affine blocks, from
+the box midpoint: 99.85-99.93% on sweep-ex41 (example-4.1, 4000 steps, 1
+or 2 confirmed pattern pairs a run); 99.1% on envelope-long's examples and
+95-97% on its traffic-gstm requests (350 steps, 6 to 7 pattern pairs, all
+in the first 20 steps, 2 or 3 of them confirmed); 94-99% on the builtins
+at h = 2 (400 steps); worst seen, the builtins at h = 5, where the
+explicit predictor is unstable: 84-97% of the steps before the state
 overflows. A block holds at most BLOCK_SIZE unknowns, its rows times d, so
 that its product, (rows d)^2 multiply-adds, stays small; above AFFINE_DIM
 unknowns a block's arithmetic outweighs the numpy calls it saves, and every
@@ -51,7 +54,7 @@ import numpy as np
 from .certify import Weights
 from .equilibrium import Equilibrium
 from .mlf import ml_envelope
-from .model import SpecError, SystemSpec, check_realization
+from .model import SpecError, SystemSpec, as_count, check_realization
 from .projection import AffineClamp, StateVector, _flat, rhs_form
 
 
@@ -85,6 +88,13 @@ class EnvelopeReport:
 # steps per leaf of the divide-and-conquer history sum, which is also the
 # longest piecewise-affine block
 LEAF = 64
+# a pattern pair gets its block solver (`_Linear`) only once this many
+# probes in a row gave it. traffic-gstm from the box midpoint at 350 steps
+# walks through six or seven pairs in its first 20 steps, many of which keep
+# 0 or 1 block rows: its lower, upper and random realizations built 6-7
+# solvers a run with one probe, 4-5 with two, 2-3 with three and 2 with
+# four; a pair that holds pays two extra probes
+CONFIRM = 3
 # envelope_check passes a point whose V is at most this, at the level of an
 # equilibrium error, whatever the envelope there
 ZERO_TOL = 1e-9
@@ -187,7 +197,10 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
 
     Within a leaf the steps run in blocks. A probe, one exact PECE step,
     gives by its two evaluations the clamp patterns of the predictor and of
-    the new state. While both patterns hold, f and c_corr f are affine
+    the new state. Blocks run under a pattern pair that the last blocks ran
+    under, or, for a new pair, once CONFIRM probes in a row gave it; until
+    then the steps are probes, so a pair that holds for a step or two costs
+    no solver. While both patterns hold, f and c_corr f are affine
     (`AffineClamp.affine`), and a block's derivatives solve a linear
     recurrence (`_Linear`), solved by one batched product with a strip of
     its resolvent's blocks. One vectorized pass evaluates the block's
@@ -197,13 +210,14 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     twice as long, at most LEAF rows and BLOCK_SIZE unknowns, also across a
     leaf end; a block that stops early is followed by a probe at the row
     where it stopped, and then by a block of twice the rows it kept. The
-    first block, after the probe at the first step, has two rows. A probe
+    first block, after the first CONFIRM probes, has two rows. A probe
     whose state is not finite raises IntegrationError(step, h) at once; a
     kept row is always finite, so the first non-finite state is a probe's,
     at the step where the step-by-step scheme meets it. numpy's overflow
     warnings are silenced so that the error is the only signal. Systems of
     more than AFFINE_DIM unknowns run every step as a probe.
     """
+    steps = as_count(steps, "steps")
     if steps < 1:
         raise SpecError("steps must be >= 1")
     if not 0.0 < t_end < math.inf:
@@ -222,8 +236,10 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     Zs, Fs = Z[1:], F[1:]           # row k: the state after step k
     y = np.empty((2, d))
     pred, corr = y
-    # the affine map of the last pattern pair, rebuilt when the pair changes
+    # the affine map of the last confirmed pattern pair, and the last probe's
+    # pair with the number of probes in a row that gave it
     lin, lin_key = None, b""
+    seen, run = b"", 0
     affine = d <= AFFINE_DIM
     longest = min(LEAF, max(2, BLOCK_SIZE // d))
     lags = tab.W[:, : longest - 1]          # the lags within a block
@@ -258,9 +274,11 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
                     if affine:
                         pp, pz = f_corr.pattern(), f.pattern()
                         key = pp.tobytes() + pz.tobytes()
-                        if key != lin_key:
+                        run = run + 1 if key == seen else 1
+                        seen = key
+                        if key != lin_key and run >= CONFIRM:
                             lin, lin_key = _Linear(f, f_corr, pp, pz, q, lags), key
-                        probe = False
+                        probe = key != lin_key
                     continue
                 rows = min(length, end - k)
                 kept = lin.block(near[2 * i : 2 * (i + rows), : i + rows], Fs, Zs,
@@ -310,8 +328,8 @@ def _slabs(X: np.ndarray, start: int, count: int, width: int, step: int) -> np.n
     """The (count, d, width) view of a C-contiguous array X of d rows, read
     as (d, .), whose slab a is X[:, start - a step : start - a step + width].
     With d x d blocks side by side in X and step d, the slabs are the block
-    rows of a block Toeplitz matrix; with step 1, the rows of a Toeplitz
-    matrix per row of X."""
+    rows of a block Toeplitz matrix, and with step -d windows of consecutive
+    blocks; with step 1, the rows of a Toeplitz matrix per row of X."""
     size = X.itemsize
     return np.ndarray((count, X.shape[0], width), buffer=X, offset=start * size,
                       strides=(-step * size, X.strides[0], size))
@@ -331,14 +349,19 @@ class _Linear:
     resolvent T = (I - L)^-1 is block lower-triangular Toeplitz too, with
     block (r, j) R_{r-j}. The strip holds R_{L-1}, ..., R_1, R_0 = I side by
     side, then zeros, L the longest block, and its slabs (`_slabs`) are T's
-    block rows. T (I - L) = (I - L) T = I, so the R_r solve the right-hand
-    recurrence R_r = sum_{l=1..r} R_{r-l} K_l as well as the left-hand one;
-    the right-hand one grows the strip by one block a row, as far as the
-    longest block asked for, with one product of the strip's contiguous
-    (R_{r-1}, ..., R_0) and (K_1; ...; K_r), a reshape of K.
+    block rows. (I - L) T = I, so the R_r solve the left-hand recurrence
+    R_r = sum_{l=1..r} K_l R_{r-l}. The strip grows by doubling, as far as
+    the longest block asked for: given R_0, ..., R_{g-1}, the next t <= g
+    blocks R_{g+m} = Y_m + sum_{l=1..m} K_l R_{g+m-l}, where the terms
+    l > m, Y_m = [K_{m+1} ... K_{m+g}] (R_{g-1}; ...; R_0), are one batched
+    product of windows of Kh (K_1, ..., K_{L-1} side by side) with the
+    stacked R. The rest is block lower-triangular Toeplitz with the blocks
+    K_l, so (R_g; ...; R_{g+t-1}) = T Y, one product with the strip's own
+    first t slabs. A block of r rows thus costs O(log r) products of
+    growth, not one a row.
     """
 
-    __slots__ = ("K", "strip", "grown", "GA", "g0", "check_y", "check_z", "bt",
+    __slots__ = ("Kh", "strip", "grown", "GA", "g0", "check_y", "check_z", "bt",
                  "bf", "lo", "hi")
 
     def __init__(self, f: AffineClamp, f_corr: AffineClamp, pp: np.ndarray,
@@ -347,7 +370,8 @@ class _Linear:
         At, bt = f_corr.affine(pp)
         A, bz = f.affine(pz)
         AAt = A @ At
-        self.K = W[1, :, None, None] * A + W[0, :, None, None] * AAt   # K_1, ..., K_{L-1}
+        # K_1, ..., K_{L-1} side by side
+        self.Kh = (W[1, :, None] * A[:, None] + W[0, :, None] * AAt[:, None]).reshape(d, -1)
         L = W.shape[1] + 1
         self.strip = np.zeros((d, 2 * L - 1, d))
         self.strip[:, L - 1] = np.eye(d)
@@ -372,11 +396,19 @@ class _Linear:
     def solve(self, G: np.ndarray, out: np.ndarray) -> None:
         """Write a block's derivatives F = T G, (rows, d), into out."""
         rows, d = G.shape
-        K, strip, L = self.K, self.strip, self.K.shape[0] + 1
-        for r in range(self.grown, rows):
-            # R_r = (R_{r-1}, ..., R_0) (K_1; ...; K_r)
-            strip[:, L - 1 - r] = strip[:, L - r : L].reshape(d, r * d) @ K[:r].reshape(r * d, d)
-        self.grown = max(self.grown, rows)
+        strip, g = self.strip, self.grown
+        L = strip.shape[1] // 2 + 1
+        while g < rows:
+            t = min(g, rows - g)
+            # Y_m = [K_{m+1} ... K_{m+g}] (R_{g-1}; ...; R_0), m < t: the
+            # terms l > m of R_{g+m} = sum_l K_l R_{g+m-l}
+            known = strip[:, L - g : L].transpose(1, 0, 2).reshape(g * d, d)
+            Y = _slabs(self.Kh, 0, t, g * d, -d) @ known
+            # the terms l <= m are triangular, so (R_g; ...; R_{g+t-1}) = T Y
+            X = _slabs(strip, (L - 1) * d, t, t * d, d) @ Y.reshape(t * d, d)
+            strip[:, L - g - t : L - g] = X[::-1].transpose(1, 0, 2)
+            g += t
+        self.grown = g
         np.matmul(_slabs(strip, (L - 1) * d, rows, rows * d, d), G.ravel(), out=out)
 
     def block(self, near: np.ndarray, Fs: np.ndarray, Zs: np.ndarray, leaf: int,
@@ -409,6 +441,12 @@ class _Linear:
         return kept
 
 
+def check_slack(slack: float) -> None:
+    """Raise SpecError unless slack is finite and nonnegative."""
+    if not 0.0 <= slack < math.inf:
+        raise SpecError("slack must be finite and nonnegative")
+
+
 def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
                    slack: float = 0.05) -> EnvelopeReport:
     """Verify V(t_k) <= (1+slack) V(0) E_alpha(-theta t_k^alpha) on the grid,
@@ -417,8 +455,7 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
     A point with V <= ZERO_TOL passes with ratio 0. Any other point has ratio
     V / envelope (inf where the envelope is 0, as after underflow) and is a
     violation iff V > (1+slack) * envelope."""
-    if not 0.0 <= slack < math.inf:
-        raise SpecError("slack must be finite and nonnegative")
+    check_slack(slack)
     if not 0.0 < theta < math.inf:
         raise SpecError("theta must be finite and positive")
     eq_arr = eq.point.as_array()

@@ -1,6 +1,7 @@
 """Problem data: interval matrices, box constraints and realizations."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -10,6 +11,15 @@ import numpy as np
 
 class SpecError(ValueError):
     """A structural constraint of the problem data is violated."""
+
+
+def as_count(value, name: str) -> int:
+    """value, a count such as steps or iterations, as an int; a numpy integer
+    passes, and a float, even 10.0, is a SpecError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SpecError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 # the interval blocks of M = [[A, A*], [B*, B]] in spec-file and sampling

@@ -353,3 +353,45 @@ def test_subnormal_gain_has_no_envelope_weights():
     cert = certificate(spec, find_weights(spec))
     assert cert.passed and cert.envelope_weights is None
     assert 0.0 < cert.theta < 1e-300
+
+
+def _count_certificates(monkeypatch):
+    """Count the certificates evaluated, as opposed to read from the cache."""
+    built = []
+    cls = fpds.certify.Certificate
+    monkeypatch.setattr(fpds.certify, "Certificate",
+                        lambda **fields: built.append(1) or cls(**fields))
+    return built
+
+
+def test_certificate_is_kept_per_weights_object(monkeypatch):
+    spec = fpds.builtin_scenario("traffic-gstm")
+    built = _count_certificates(monkeypatch)
+    w = find_weights(spec)
+    cert = certificate(spec, w)
+    assert certificate(spec, w) is cert and len(built) == 1
+    for arr in (cert.xi, cert.zeta, cert.a2_margins, cert.a3_margins):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    # equal values in another object are evaluated again, to equal fields
+    again = certificate(spec, Weights(mu=w.mu.copy(), tau=w.tau.copy()))
+    assert again is not cert and len(built) == 2
+    for name in ("a2_margins", "a3_margins", "xi", "zeta"):
+        assert getattr(again, name).tobytes() == getattr(cert, name).tobytes()
+    assert (again.kappa, again.theta, again.min_slack, again.passed) == (
+        cert.kappa, cert.theta, cert.min_slack, cert.passed)
+    assert (again.envelope_weights.as_array().tobytes()
+            == cert.envelope_weights.as_array().tobytes())
+    # the cache is the spec's: the same weights on another spec are evaluated
+    other = fpds.builtin_scenario("traffic-gstm", gains=[1.0, 0.5, 2.0, 1.0])
+    assert certificate(other, w).theta != cert.theta and len(built) == 3
+
+
+def test_picard_solve_reads_the_cached_certificate(monkeypatch):
+    spec = fpds.builtin_scenario("example-4.1")
+    w = find_weights(spec)
+    built = _count_certificates(monkeypatch)
+    for selector in ("lower", "upper", "random"):
+        eq = fpds.picard_solve(spec, fpds.sample_realization(spec, selector), w)
+        assert eq.converged
+    assert built == []

@@ -442,3 +442,13 @@ def test_python_dash_m_runs_the_cli(module, argv):
     code, text = capture(argv)
     assert (proc.returncode, proc.stdout) == (code, text)
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("slack", ["nan", "inf", "-0.1"])
+def test_bad_slack_stops_before_any_solve(monkeypatch, slack):
+    called = []
+    monkeypatch.setattr(fpds.cli, "integrate", lambda *a, **k: called.append("integrate"))
+    monkeypatch.setattr(fpds.cli, "picard_solve", lambda *a, **k: called.append("picard"))
+    code, text = capture(["sweep", "example-4.1", "--slack", slack])
+    assert (code, text) == (EXIT_INPUT, "error: slack must be finite and nonnegative\n")
+    assert called == []

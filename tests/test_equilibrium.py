@@ -152,11 +152,19 @@ def test_stalled_step_norm_stops_unconverged(ex41):
 @pytest.mark.parametrize("kwargs,match", [
     ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"), ({"tol": 0.0}, "tol"),
     ({"tol": -1e-10}, "tol"), ({"max_iter": 0}, "max_iter"),
+    ({"max_iter": 10.0}, "max_iter must be an integer"),
+    ({"max_iter": 2.5}, "max_iter must be an integer"),
 ])
 def test_solver_argument_validation(ex42, w42, kwargs, match):
     real = fpds.sample_realization(ex42, "lower")
     with pytest.raises(fpds.SpecError, match=match):
         picard_solve(ex42, real, w42, **kwargs)
+
+
+def test_numpy_integer_max_iter_is_accepted(ex42, w42):
+    real = fpds.sample_realization(ex42, "lower")
+    eq = picard_solve(ex42, real, w42, max_iter=np.int64(2), tol=1e-12)
+    assert eq.iterations == 2
 
 
 def test_single_iteration_bound(ex42, w42):

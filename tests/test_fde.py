@@ -300,6 +300,16 @@ def test_argument_validation(ex42):
     for t_end in (-1.0, math.nan, math.inf):
         with pytest.raises(fpds.SpecError, match="t_end"):
             integrate(ex42, real, z0, t_end, 10)
+    for steps in (2.5, 10.0, "10"):
+        with pytest.raises(fpds.SpecError, match="steps must be an integer"):
+            integrate(ex42, real, z0, 1.0, steps)
+
+
+def test_numpy_integer_steps_are_accepted(ex42):
+    real = fpds.sample_realization(ex42, "lower")
+    z0 = StateVector(x=[1.0, 1.0], y=[])
+    got = integrate(ex42, real, z0, 1.0, np.int64(100)).states
+    np.testing.assert_array_equal(got, integrate(ex42, real, z0, 1.0, 100).states)
 
 
 def test_non_finite_state_raises():
@@ -631,5 +641,48 @@ def test_strip_solves_the_block_recurrence(monkeypatch, rows):
     ref = G.copy()
     for r in range(rows):
         for l in range(1, r + 1):
-            ref[r] += lin.K[l - 1] @ ref[r - l]
+            ref[r] += lin.Kh[:, (l - 1) * d : l * d] @ ref[r - l]
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _built_solvers(monkeypatch, scenario, selector, t_end, steps):
+    """The `_Linear` solvers that integrate builds on the scenario from the
+    box midpoint, each rebuilt from its arguments so that its strip starts
+    empty."""
+    made = []
+    linear = fpds.fde._Linear
+    monkeypatch.setattr(fpds.fde, "_Linear", lambda *args: made.append(args) or linear(*args))
+    spec = fpds.builtin_scenario(scenario)
+    real = fpds.sample_realization(spec, selector)
+    integrate(spec, real, StateVector(x=spec.box1.midpoint(), y=spec.box2.midpoint()),
+              t_end, steps)
+    return [linear(*args) for args in made]
+
+
+@pytest.mark.parametrize("order", [(1, 64), (3, 7, 64), (2, 4, 8, 16, 32, 64)])
+def test_strip_grows_in_any_order(monkeypatch, order):
+    # the strip doubles from what it holds to the rows asked for, whatever
+    # they were before; every size solves as forward substitution does
+    lin = _built_solvers(monkeypatch, "example-4.1", "lower", 20.0, 4000)[0]
+    d = lin.Kh.shape[0]
+    for rows in order:
+        G = np.random.default_rng(rows).standard_normal((rows, d))
+        got = np.empty((rows, d))
+        lin.solve(G, got)
+        assert lin.grown == rows
+        ref = G.copy()
+        for r in range(rows):
+            for l in range(1, r + 1):
+                ref[r] += lin.Kh[:, (l - 1) * d : l * d] @ ref[r - l]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("scenario,selector,most", [
+    ("traffic-gstm", "lower", 3), ("traffic-gstm", "upper", 3),
+    ("example-4.1", "lower", 1)])
+def test_a_pattern_pair_is_confirmed_before_its_solver_is_built(monkeypatch, scenario,
+                                                                 selector, most):
+    # traffic-gstm walks through six or seven pattern pairs in its first 20
+    # steps; a pair gets a solver only once three probes in a row gave it
+    # (six or seven solvers a run when the first probe built one)
+    assert 1 <= len(_built_solvers(monkeypatch, scenario, selector, 350.0, 350)) <= most
