@@ -27,7 +27,11 @@ cost down, both exact up to rounding:
 Everything that depends on (alpha, h, steps) alone, the weights and their
 arrangements for the history sums, is one cached read-only table
 (`_tables`), so the realizations of a sweep, which share those three, build
-it once; only the last table is kept.
+it once; only the last table is kept. Each call's working memory, the
+derivatives, the base rows and the FFT buffers of the far history, is one
+allocation (`_scratch`) of the same size for every realization, which the
+allocator can hand to the next call of a sweep with its pages still mapped
+(glibc's malloc does), instead of faulting in new pages for each temporary.
 
 The gain rests on one property of the trajectories: the clamp pattern
 changes rarely. Measured shares of rows computed in affine blocks, from
@@ -99,8 +103,8 @@ CONFIRM = 3
 # equilibrium error, whatever the envelope there
 ZERO_TOL = 1e-9
 # the largest state dimension run in piecewise-affine blocks. A block row
-# costs about (LEAF/2 + rows) d^2 multiply-adds, the resolvent's product
-# multiplying its zero upper triangle too, and each clamp-pattern pair
+# costs about (LEAF/2 + 3 rows/4) d^2 multiply-adds, the resolvent's product
+# multiplying half of its zero upper triangle too, and each clamp-pattern pair
 # grows its strip of resolvent blocks, r d^3 for row r; a probe costs about
 # 4 d^2 and ten numpy calls a step. Random networks (bench's
 # random_network_document, three per d, random realization, start 2 off
@@ -113,7 +117,7 @@ ZERO_TOL = 1e-9
 AFFINE_DIM = 40
 # the most unknowns a block solves at once, its rows times d: blocks of
 # LEAF rows at d = 5. A block's product with its rows of the resolvent
-# costs (rows d)^2 multiply-adds, at most 320^2
+# costs 3/4 (rows d)^2 multiply-adds, at most 3/4 320^2
 BLOCK_SIZE = 320
 # the levels of the far history, s = LEAF and 2 LEAF, summed by a dense
 # product rather than an FFT convolution. Per call at d = 5 (shared 2-CPU
@@ -131,7 +135,10 @@ class _Tables(NamedTuple):
 
     c_corr: float                    # h^alpha / Gamma(alpha + 2)
     W: np.ndarray                    # (2, steps): weights of F_j at step k, lag k - j
-    j0: np.ndarray                   # (steps, 2): the j = 0 weights of step k
+    # (2 steps, 3): row 2k + p is (j0, 1, p), j0 the j = 0 weight of step k's
+    # predictor (p = 0) or corrector (p = 1); its product with (F_0; z0; -q_corr)
+    # is the base rows before the far history
+    start: np.ndarray
     near: np.ndarray                 # sums over a step's own leaf
     far: tuple[np.ndarray, ...]      # sums over earlier leaves, per level
 
@@ -153,15 +160,19 @@ def _tables(alpha: float, h: float, steps: int) -> _Tables:
     c_pred = h ** alpha / math.gamma(alpha + 1.0)
     c_corr = h ** alpha / math.gamma(alpha + 2.0)
     W = np.stack([c_pred * b_w[:steps], c_corr * a_w])
+    start = np.empty((steps, 2, 3))
+    start[:, :, 0] = np.stack([c_pred * b_w[:steps], c_corr * a0], axis=1)
+    start[:, :, 1] = 1.0
+    start[:, :, 2] = (0.0, 1.0)
     far = []
     s = LEAF
     while s < steps:
         far.append(_toeplitz(W, s, s) if s < LEAF << DENSE_FAR
                    else np.fft.rfft(W[:, : 2 * s], n=2 * s)[:, None])
         s *= 2
-    tab = _Tables(c_corr, W, np.stack([c_pred * b_w[:steps], c_corr * a0], axis=1),
-                  _toeplitz(W, min(LEAF, steps), 0), tuple(far))
-    for arr in (W, tab.j0, tab.near, *far):
+    tab = _Tables(c_corr, W, start.reshape(2 * steps, 3), _toeplitz(W, min(LEAF, steps), 0),
+                  tuple(far))
+    for arr in (W, tab.start, tab.near, *far):
         arr.setflags(write=False)
     return tab
 
@@ -183,7 +194,12 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     (alpha, h, steps) alone and come from one shared, read-only table
     (`_tables`), so a sweep over realizations builds them once. Step k's
     j = 0 terms, the corrector's constant -c_corr q and its far history go
-    into a row base[k]. The realization is checked once, here; f and the
+    into a row base[k]; all but the far history are one product of the
+    table's `start` rows with (F_0; z0; -q_corr). The derivatives F, the
+    base rows and the far history's FFT buffers are views of one scratch
+    allocation (`_scratch`) of a size fixed by (steps, d), so the calls of
+    a sweep reuse its pages; only the states Z, which the trajectory keeps,
+    are a new array. The realization is checked once, here; f and the
     corrector term c_corr f are the affine-clamp forms `rhs_form` builds
     from the gains and from c_corr times the gains, once per call.
 
@@ -231,7 +247,7 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
 
     d = z_init.size
     Z = np.empty((steps + 1, d))
-    F = np.empty_like(Z)
+    F, base, work = _scratch(steps, d, len(tab.far))
     Z[0] = z_init
     Zs, Fs = Z[1:], F[1:]           # row k: the state after step k
     y = np.empty((2, d))
@@ -252,8 +268,7 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
         F[0] -= q
         # base[k]: z0 plus the j = 0 terms of step k's predictor and
         # corrector, the corrector's constant -c_corr q, and the far history
-        base = z_init + tab.j0[:, :, None] * F[0]
-        base[:, 1] -= q_corr
+        np.matmul(tab.start, np.stack([F[0], z_init, -q_corr]), out=base.reshape(2 * steps, d))
         for leaf in range(0, steps, LEAF):
             end = min(leaf + LEAF, steps)
             k = leaf
@@ -287,7 +302,7 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
                 length = min(longest, 2 * (kept + 1) if probe else 2 * length)
                 k += kept
             if end < steps:
-                _add_far(base, Fs, tab, end)
+                _add_far(base, Fs, tab, end, work)
 
     times = h * np.arange(steps + 1)
     return Trajectory(times=times, states=Z, alpha=alpha)
@@ -306,11 +321,31 @@ def _toeplitz(W: np.ndarray, size: int, shift: int) -> np.ndarray:
     return _slabs(x, size - 1, size, size, 1).reshape(2 * size, size)
 
 
-def _add_far(base: np.ndarray, Fs: np.ndarray, tab: _Tables, e: int) -> None:
+def _scratch(steps: int, d: int, levels: int) -> tuple[np.ndarray, np.ndarray,
+                                                       tuple[np.ndarray, np.ndarray]]:
+    """`integrate`'s working memory as views of one allocation: the
+    derivatives F, (steps + 1, d), the base rows, (steps, 2, d), and the
+    flat work buffers of `_add_far`, sized for the top FFT level s of the
+    `levels` far levels: complex, a (d, s + 1) spectrum and its (2, d, s + 1)
+    products with the weight rows; real, their (2, d, 2s) inverse
+    transforms. A lower level views their first entries."""
+    s = LEAF << (levels - 1) if levels > DENSE_FAR else 0
+    spectra = 3 * d * (s + 1)
+    reals = (3 * steps + 1) * d
+    mem = np.empty(spectra + (reals + 4 * d * s + 1) // 2, dtype=complex)
+    real = mem[spectra:].view(float)
+    F = real[: (steps + 1) * d].reshape(steps + 1, d)
+    base = real[(steps + 1) * d : reals].reshape(steps, 2, d)
+    return F, base, (mem[:spectra], real[reals:])
+
+
+def _add_far(base: np.ndarray, Fs: np.ndarray, tab: _Tables, e: int,
+             work: tuple[np.ndarray, np.ndarray]) -> None:
     """Add the history of the block [e - s, e), s the lowest set bit of e, to
     the base rows [e, e + s): on the first DENSE_FAR levels by one product
     with dense weights, above them by one FFT convolution of length 2s per
-    weight row, along the last axis of the (d, s) block of derivatives."""
+    weight row, along the last axis of the (d, s) block of derivatives,
+    computed in the buffers `work` of `_scratch`."""
     s = e & -e
     count = min(s, base.shape[0] - e)
     level = (s // LEAF).bit_length() - 1
@@ -318,9 +353,17 @@ def _add_far(base: np.ndarray, Fs: np.ndarray, tab: _Tables, e: int) -> None:
     if level < DENSE_FAR:
         base[e : e + count] += (weights[: 2 * count] @ Fs[e - s : e]).reshape(count, 2, -1)
         return
+    d = base.shape[2]
+    spectra, reals = work
+    m = d * (s + 1)
+    spectrum = spectra[:m].reshape(d, s + 1)
+    product = spectra[m : 3 * m].reshape(2, d, s + 1)
+    conv = reals[: 4 * d * s].reshape(2, d, 2 * s)
+    np.fft.rfft(Fs[e - s : e].T, n=2 * s, out=spectrum)
+    np.multiply(weights, spectrum, out=product)
+    np.fft.irfft(product, n=2 * s, out=conv)
     # row e + r meets F at step e - s + i with lag s + r - 1 - i, which is
     # index s - 1 + r of the circular convolution; no wrap-around reaches it
-    conv = np.fft.irfft(weights * np.fft.rfft(Fs[e - s : e].T, n=2 * s), n=2 * s)
     base[e : e + count] += conv[:, :, s - 1 : s - 1 + count].transpose(2, 0, 1)
 
 
@@ -358,7 +401,9 @@ class _Linear:
     stacked R. The rest is block lower-triangular Toeplitz with the blocks
     K_l, so (R_g; ...; R_{g+t-1}) = T Y, one product with the strip's own
     first t slabs. A block of r rows thus costs O(log r) products of
-    growth, not one a row.
+    growth, not one a row. Row a of T is zero past its block a, so `solve`
+    multiplies the first h = r // 2 block rows by the first h blocks of G
+    only and the rest by all of G, 3/4 of the full product.
     """
 
     __slots__ = ("Kh", "strip", "grown", "GA", "g0", "check_y", "check_z", "bt",
@@ -409,7 +454,10 @@ class _Linear:
             strip[:, L - g - t : L - g] = X[::-1].transpose(1, 0, 2)
             g += t
         self.grown = g
-        np.matmul(_slabs(strip, (L - 1) * d, rows, rows * d, d), G.ravel(), out=out)
+        G = G.ravel()
+        h = rows // 2
+        np.matmul(_slabs(strip, (L - 1) * d, h, h * d, d), G[: h * d], out=out[:h])
+        np.matmul(_slabs(strip, (L - 1 - h) * d, rows - h, rows * d, d), G, out=out[h:])
 
     def block(self, near: np.ndarray, Fs: np.ndarray, Zs: np.ndarray, leaf: int,
               k: int, base: np.ndarray) -> int:
@@ -420,8 +468,10 @@ class _Linear:
         length."""
         rows, d = base.shape[0], base.shape[2]
         i = k - leaf
-        known = (near[:, :i] @ Fs[leaf:k]).reshape(rows, 2, d)
-        known += base
+        known = base
+        if i:
+            known = (near[:, :i] @ Fs[leaf:k]).reshape(rows, 2, d)
+            known += base
         G = known.reshape(rows, 2 * d) @ self.GA
         G += self.g0
         self.solve(G, Fs[k : k + rows])
@@ -464,7 +514,8 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
     if w.mu.size != eq.point.x.size or w.tau.size != eq.point.y.size:
         raise SpecError("dimension mismatch: weights")
 
-    v = np.abs(traj.states - eq_arr) @ w.as_array()
+    dist = np.subtract(traj.states, eq_arr)
+    v = np.abs(dist, out=dist) @ w.as_array()
     v0 = float(v[0])
     if v0 <= ZERO_TOL:
         env = np.zeros_like(v)
