@@ -71,7 +71,7 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
     omega = w / g: V = sum_i omega_i |e_i|, e = z - z* its distance to its
     equilibrium, obeys V(t) <= V(0) E_alpha(-theta t^alpha). Proof: with
     D^alpha e = g (P(z) - P(z*) - e), D^alpha |e_i| <= sgn(e_i) D^alpha e_i
-    and |P(z) - P(z*)| <= K |e| for the K >= 0 with (w^T K)_j = kappa_j w_j,
+    and |P(z) - P(z*)| <= T |e| with (w^T T)_j = kappa_j w_j (`BlockForm`),
         D^alpha V <= sum_i w_i sgn(e_i) (P(z) - P(z*) - e)_i
                   <= -sum_j w_j (1 - kappa_j) |e_j| <= -theta V.
     At unit gains theta = 1 - kappa bitwise and omega = w.
@@ -89,14 +89,13 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
         raise SpecError("dimension mismatch: weights")
     blk = spec.blocks
     wz = w.as_array()
-    # in the block form of SystemSpec.blocks, (xi, zeta) are weighted column
-    # sums of T plus the spec's diagonal terms; the margins are a2 on x rows,
-    # a3 on y rows
-    coeffs = (wz @ blk.T) / wz + blk.abs_diag_s + 1.0 - blk.r_diag_lo - blk.diag_s
-    coeffs.setflags(write=False)
-    lo, hi = float(coeffs.min()), float(coeffs.max())
+    # (xi, zeta) are the weighted column sums of the comparison matrix T of
+    # SystemSpec.blocks; a subnormal weight overflows its ratio to inf, a FAIL
     with np.errstate(over="ignore"):
+        coeffs = (wz @ blk.T) / wz
         omega = wz / spec.gains
+    coeffs.setflags(write=False)
+    lo, hi, margin = float(coeffs.min()), float(coeffs.max()), float(blk.margins.min())
     try:
         envelope_weights = Weights(mu=omega[:n], tau=omega[n:])
     except SpecError:       # w / g overflows (a subnormal gain) or underflows
@@ -105,8 +104,8 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
         a2_margins=blk.margins[:n], a3_margins=blk.margins[n:], xi=coeffs[:n],
         zeta=coeffs[n:], kappa=hi, theta=float(np.min(spec.gains * (1.0 - coeffs))),
         envelope_weights=envelope_weights,
-        min_slack=min(blk.min_margin, lo, 1.0 - hi),
-        passed=blk.min_margin >= 0.0 and lo > 0.0 and hi < 1.0,
+        min_slack=min(margin, lo, 1.0 - hi),
+        passed=margin >= 0.0 and lo > 0.0 and hi < 1.0,
     )
     # holding w keeps its identity from passing to another object
     spec.__dict__["_certificate"] = (w, cert)
@@ -114,27 +113,27 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
 
 
 def comparison_system(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal vector d and nonnegative coupling matrix C of the weight
-    feasibility conditions: weights w > 0 exist iff d > 0 and rho(D^-1 C) < 1,
-    and then any w with (diag(d) - C) w > 0 works. C is the transpose of the
-    coupling matrix T of SystemSpec.blocks."""
-    blk = spec.blocks
-    return blk.r_diag_lo + blk.diag_s - blk.abs_diag_s, blk.T.T.copy()
+    """d = 1 - diag T and C = T^T with its diagonal zeroed, T the comparison
+    matrix of SystemSpec.blocks, so that diag(d) - C = I - T^T: weights w > 0
+    exist iff d > 0 and rho(D^-1 C) < 1, and then any w with
+    (diag(d) - C) w > 0 works."""
+    T = spec.blocks.T
+    return 1.0 - np.diag(T), T.T - np.diag(np.diag(T))
 
 
 def find_weights(spec: SystemSpec) -> Weights | None:
     """Search for weights making the certificate pass; None if infeasible.
 
-    Solves (diag(d) - C) w = 1. C >= 0 makes diag(d) - C a Z-matrix, which has
-    a positive solution iff it is a nonsingular M-matrix, i.e. iff d > 0 and
-    rho(D^-1 C) < 1 (Berman & Plemmons, ch. 6): a singular system or a w that
-    is not positive and finite means infeasible. Otherwise w, which gives
-    uniform slack across rows, is re-verified through certificate(), which
-    decides in floating point.
+    Solves (I - T^T) w = 1, T the comparison matrix of SystemSpec.blocks:
+    T >= 0 off its diagonal makes I - T^T a Z-matrix, which has a positive
+    solution iff it is a nonsingular M-matrix (Berman & Plemmons, ch. 6), so
+    a singular system or a w not positive and finite means infeasible.
+    Otherwise w, which gives uniform slack across rows, is re-verified
+    through certificate(), which decides in floating point.
     """
-    d, C = comparison_system(spec)
+    T = spec.blocks.T
     try:
-        w = np.linalg.solve(np.diag(d) - C, np.ones(d.size))
+        w = np.linalg.solve(np.eye(len(T)) - T.T, np.ones(len(T)))
     except np.linalg.LinAlgError:
         return None
     if not np.all((w > 0.0) & (w < np.inf)):

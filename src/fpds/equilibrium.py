@@ -66,12 +66,12 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
     P(z) = z + A_p z + b_p - q (`AffineClamp.affine`), so once two
     successive steps share a pattern not tried before, one linear solve
     A_p z = q - b_p jumps to that piece's fixed point, if `_worth_solving`.
-    A passing certificate makes A_p nonsingular: |I + A_p| <= |S| +
-    |I - r M - S| entrywise, which the certificate bounds by kappa in the
-    weights, so rho(I + A_p) <= kappa < 1. The jump is kept only if the step
-    at the jump point, the next recorded iteration, is at most kappa times
-    the step before it; otherwise the iteration goes on from the Picard
-    iterate. The step norms thus still fall by kappa or more each iteration,
+    A passing certificate makes A_p nonsingular: |I + A_p| <= T entrywise,
+    T the comparison matrix of SystemSpec.blocks, which the certificate
+    bounds by kappa in the weights, so rho(I + A_p) <= kappa < 1. The jump
+    is kept only if the step at the jump point, the next recorded iteration,
+    is at most kappa times the step before it; otherwise the iteration goes
+    on from the Picard iterate. The step norms thus still fall by kappa or more each iteration,
     and the stopping rule and a_priori_bound hold as for plain Picard.
 
     tol is measured in the weighted l1 norm of w, so scaling w by c scales

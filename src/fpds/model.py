@@ -78,11 +78,10 @@ class BoxSet:
 class BlockForm(NamedTuple):
     """A spec as one system in z = (x, y): step sizes r (rho on x rows, lam on
     y rows), c = (a, b), S = blockdiag(H, L), the joined box K = K1 x K2,
-    bounds M_lo and M_hi of M = [[A, A*], [B*, B]], and the worst-case
-    coupling T = |S| + max(|r M_lo + S|, |r M_hi + S|) with zero diagonal.
-    The certificate's diagonal terms depend on the spec alone and are kept
-    here too: diag S, |diag S|, r diag M_lo, the diagonal margins
-    1 - r diag M_hi - diag S and their minimum."""
+    bounds M_lo and M_hi of M = [[A, A*], [B*, B]], the paper's comparison
+    matrix T = |S| + max(|r M_lo + S|, |r M_hi + S|) with diagonal
+    |S_jj| + 1 - r_j M_lo,jj - S_jj, and the margins 1 - r diag M_hi - diag S;
+    where they are >= 0, T >= |S| + |I - r M - S| for every M in the family."""
 
     r: np.ndarray
     c: np.ndarray
@@ -91,11 +90,7 @@ class BlockForm(NamedTuple):
     M_lo: np.ndarray
     M_hi: np.ndarray
     T: np.ndarray
-    diag_s: np.ndarray
-    abs_diag_s: np.ndarray
-    r_diag_lo: np.ndarray
     margins: np.ndarray
-    min_margin: float
 
 
 @dataclass(frozen=True)
@@ -139,18 +134,15 @@ class SystemSpec:
         M_hi = _assemble(n, m, [getattr(self, name).upper for name, _, _ in BLOCKS])
         T = np.abs(S) + np.maximum(np.abs(r[:, None] * M_lo + S),
                                    np.abs(r[:, None] * M_hi + S))
-        np.fill_diagonal(T, 0.0)
-        c = np.concatenate([self.a, self.b])
         diag_s = np.diag(S)
-        abs_diag_s, r_diag_lo = np.abs(diag_s), r * np.diag(M_lo)
+        np.fill_diagonal(T, np.abs(diag_s) + 1.0 - r * np.diag(M_lo) - diag_s)
+        c = np.concatenate([self.a, self.b])
         margins = 1.0 - r * np.diag(M_hi) - diag_s
-        for arr in (r, c, S, M_lo, M_hi, T, diag_s, abs_diag_s, r_diag_lo, margins):
+        for arr in (r, c, S, M_lo, M_hi, T, margins):
             arr.setflags(write=False)
         box = BoxSet(lo=np.concatenate([self.box1.lo, self.box2.lo]),
                      hi=np.concatenate([self.box1.hi, self.box2.hi]))
-        return BlockForm(r=r, c=c, S=S, box=box, M_lo=M_lo, M_hi=M_hi, T=T,
-                         diag_s=diag_s, abs_diag_s=abs_diag_s, r_diag_lo=r_diag_lo,
-                         margins=margins, min_margin=float(margins.min()))
+        return BlockForm(r=r, c=c, S=S, box=box, M_lo=M_lo, M_hi=M_hi, T=T, margins=margins)
 
 
 def _assemble(n: int, m: int, parts) -> np.ndarray:
@@ -183,9 +175,9 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
 
     Raises SpecError naming the first violated constraint. Every number is
     checked, from the one list of `_fields`, for its shape and finiteness
-    (box bounds too: the default start is the box midpoint). The scaled blocks
-    r M_lo, r M_hi and the coupling T of `SystemSpec.blocks`, which this
-    builds, must be finite too.
+    (box bounds too: the default start is the box midpoint). The comparison
+    matrix T and the margins of `SystemSpec.blocks`, which this builds and
+    which hold r M_lo and r M_hi, must be finite too.
     Validation is idempotent; m = 0 systems (no y block) are accepted, with
     lambda > 0 like any other.
     """
@@ -222,12 +214,11 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
     if np.any(spec.gains <= 0.0):
         raise SpecError("nonpositive gain")
     # finite entries can still overflow once scaled by rho or lambda. T is
-    # finite only where r M_lo and r M_hi are (S is finite), except on its
-    # zeroed diagonal, which is checked apart
+    # finite only where r M_lo and r M_hi are (S is finite) off its diagonal
+    # and r M_lo is on it; the margins hold r diag M_hi
     with np.errstate(over="ignore"):
         blk = spec.blocks
-        diag = (blk.r_diag_lo, blk.r * np.diag(blk.M_hi))
-    if not (np.all(np.isfinite(blk.T)) and np.all(np.isfinite(diag))):
+    if not (np.isfinite(blk.T).all() and np.isfinite(blk.margins).all()):
         raise SpecError("non-finite value in scaled coupling")
     return spec
 

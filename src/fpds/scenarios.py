@@ -156,6 +156,9 @@ def load_spec(document: str | bytes) -> SystemSpec:
         for key, value in zip("nm", dims):
             if type(value) is not int:      # a JSON integer: not a bool, float or string
                 raise SpecError(f"parse error: {key} must be an integer, got {value!r}")
+        for key in ("alpha", "rho", "lambda"):
+            if type(doc[key]) not in (int, float):  # a JSON number: not a bool or string
+                raise SpecError(f"parse error: {key} must be a number, got {doc[key]!r}")
         intervals = doc["intervals"]
         shifts = doc["shifts"]
         boxes = doc["boxes"]
@@ -180,7 +183,8 @@ def load_spec(document: str | bytes) -> SystemSpec:
         raise SpecError(f"parse error: missing field {exc.args[0]!r}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"parse error: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (TypeError, ValueError) as exc:      # UnicodeDecodeError among them
+    except (TypeError, ValueError, OverflowError) as exc:  # UnicodeDecodeError among them;
+        # OverflowError from a JSON integer too large for a float
         raise SpecError(f"parse error: {exc}") from exc
     # validation builds spec.blocks; release the document and its parse first
     # so that they and the blocks are never held at once

@@ -68,6 +68,18 @@ def test_weight_scaling_invariance(ex41, w41):
     np.testing.assert_allclose(scaled.xi, base.xi, rtol=1e-14)
     np.testing.assert_allclose(scaled.zeta, base.zeta, rtol=1e-14)
     assert scaled.passed == base.passed
+    # a power-of-two scaling is exact in every product and ratio, so the
+    # certificate of the found weights keeps its bits, far out in exponent too
+    for spec in (*(fpds.builtin_scenario(name) for name in fpds.BUILTIN_NAMES),
+                 *(random_network(size, size) for size in (5, 40, 200))):
+        w = find_weights(spec)
+        base = certificate(spec, w)
+        for k in (1, -1, 500, -500, 900, -900):
+            scaled = certificate(spec, Weights(mu=w.mu * 2.0**k, tau=w.tau * 2.0**k))
+            assert scaled.xi.tobytes() == base.xi.tobytes(), k
+            assert scaled.zeta.tobytes() == base.zeta.tobytes(), k
+            assert (scaled.kappa, scaled.min_slack, scaled.passed) == (
+                base.kappa, base.min_slack, base.passed), k
 
 
 def test_widening_never_decreases_coefficients(ex41, w41):
@@ -310,15 +322,39 @@ def test_weights_are_read_only_views_of_one_vector():
     assert np.shares_memory(w.mu, joined) and np.shares_memory(w.tau, joined)
 
 
-def _by_formula(spec, w):
-    """The certificate's coefficients, margins and min_slack, each term
-    evaluated from the blocks on the spot in the certificate's order."""
+def _comparison_matrix(spec):
+    """The comparison matrix T of SystemSpec.blocks, built on the spot."""
     blk = spec.blocks
-    wz = w.as_array()
+    r = blk.r[:, None]
+    T = np.abs(blk.S) + np.maximum(np.abs(r * blk.M_lo + blk.S), np.abs(r * blk.M_hi + blk.S))
     diag_s = np.diag(blk.S)
-    coeffs = (wz @ blk.T) / wz + np.abs(diag_s) + 1.0 - blk.r * np.diag(blk.M_lo) - diag_s
-    margins = 1.0 - blk.r * np.diag(blk.M_hi) - diag_s
-    return coeffs, margins, float(np.min(np.concatenate([margins, coeffs, 1.0 - coeffs])))
+    np.fill_diagonal(T, np.abs(diag_s) + 1.0 - blk.r * np.diag(blk.M_lo) - diag_s)
+    return T
+
+
+def _paper_coefficients(spec, w):
+    """xi and zeta as the paper writes them, term by term from the spec's own
+    fields: the diagonal term of each row plus the weighted couplings of the
+    other rows, each divided by the row's weight."""
+    def coupling(scale, im, shift):
+        return np.abs(shift) + np.maximum(np.abs(scale * im.lower + shift),
+                                          np.abs(scale * im.upper + shift))
+
+    def own(scale, im, shift):
+        h = np.diag(shift)
+        return np.abs(h) + 1.0 - scale * np.diag(im.lower) - h
+
+    def off(T):
+        return T - np.diag(np.diag(T))
+
+    n, m, mu, tau = spec.n, spec.m, w.mu, w.tau
+    xx = off(coupling(spec.rho, spec.A, spec.H))
+    yy = off(coupling(spec.lam, spec.B, spec.L))
+    xy = coupling(spec.rho, spec.Astar, np.zeros((n, m)))   # y_k into x rows
+    yx = coupling(spec.lam, spec.Bstar, np.zeros((m, n)))   # x_j into y rows
+    xi = own(spec.rho, spec.A, spec.H) + (mu @ xx + tau @ yx) / mu
+    zeta = own(spec.lam, spec.B, spec.L) + (mu @ xy + tau @ yy) / tau
+    return np.concatenate([xi, zeta])
 
 
 @pytest.mark.parametrize("spec", [
@@ -328,22 +364,30 @@ def _by_formula(spec, w):
     *(random_network(size, size) for size in (5, 40, 200)),
 ])
 def test_spec_terms_give_the_certificate_bitwise(spec):
-    # the per-spec diagonal terms of SystemSpec.blocks give the same bits as
-    # evaluating them per call, at the found and at unit weights
-    d = spec.n + spec.m
+    # the one comparison matrix T of SystemSpec.blocks is the matrix built on
+    # the spot, bitwise; its weighted column sums are the certificate's
+    # coefficients, bitwise, and the paper's per-term sums up to rounding, at
+    # the found and at unit weights
+    blk = spec.blocks
+    T = _comparison_matrix(spec)
+    assert blk.T.tobytes() == T.tobytes()
+    margins = 1.0 - blk.r * np.diag(blk.M_hi) - np.diag(blk.S)
     for w in (find_weights(spec), Weights(mu=np.ones(spec.n), tau=np.ones(spec.m))):
         cert = certificate(spec, w)
-        coeffs, margins, min_slack = _by_formula(spec, w)
+        wz = w.as_array()
+        coeffs = (wz @ T) / wz
         assert np.concatenate([cert.xi, cert.zeta]).tobytes() == coeffs.tobytes()
+        np.testing.assert_allclose(coeffs, _paper_coefficients(spec, w), rtol=1e-14, atol=0)
         assert np.concatenate([cert.a2_margins, cert.a3_margins]).tobytes() == margins.tobytes()
-        assert cert.min_slack == min_slack and cert.kappa == coeffs.max()
+        assert cert.min_slack == float(np.min(np.concatenate([margins, coeffs, 1.0 - coeffs])))
+        assert cert.kappa == coeffs.max()
         assert cert.passed == bool(np.all(margins >= 0.0) and np.all(coeffs > 0.0)
                                    and np.all(coeffs < 1.0))
-        assert cert.envelope_weights.as_array().tobytes() == (w.as_array() / spec.gains).tobytes()
-    d_vec, C = comparison_system(spec)
-    diag_s = np.diag(spec.blocks.S)
-    want = spec.blocks.r * np.diag(spec.blocks.M_lo) + diag_s - np.abs(diag_s)
-    assert d_vec.tobytes() == want.tobytes() and C.shape == (d, d)
+        assert cert.envelope_weights.as_array().tobytes() == (wz / spec.gains).tobytes()
+    d, C = comparison_system(spec)
+    off = T.T.copy()
+    np.fill_diagonal(off, 0.0)
+    assert d.tobytes() == (1.0 - np.diag(T)).tobytes() and C.tobytes() == off.tobytes()
 
 
 def test_subnormal_gain_has_no_envelope_weights():

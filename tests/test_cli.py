@@ -145,6 +145,21 @@ def test_subnormal_gain(tmp_path, command, code, last):
             "a2_margins", "a3_margins", "xi", "zeta", "kappa", "theta", "min_slack"]
 
 
+@pytest.mark.parametrize("command,code,last", [
+    ("certify", EXIT_FAIL, "FAIL"),
+    ("equilibrium", EXIT_NUMERIC,
+     "numerical failure: certificate fails; Picard iteration not contractive"),
+])
+def test_subnormal_weights(command, code, last):
+    # at weights (1e-320, 1) the column ratio overflows: kappa is inf and
+    # the certificate fails, without an overflow warning (pytest makes
+    # RuntimeWarnings errors)
+    got, text = capture([command, "example-4.2", "--weights", "1e-320,1"])
+    assert got == code and text.splitlines()[-1] == last
+    if command == "certify":
+        assert "kappa:      inf\n" in text
+
+
 def test_spec_dimension_is_checked_before_default_gains_are_sized(tmp_path):
     # the default gains are sized from a and b, so a huge n is rejected by
     # validation instead of allocating n + m gains first

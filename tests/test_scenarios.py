@@ -152,10 +152,15 @@ def test_bytes_input(ex42):
     ("example-4.2", "n", "2", "parse error: n must be an integer, got '2'"),
     ("example-4.2", "m", False, "parse error: m must be an integer, got False"),
     ("example-4.2", "lambda", -1.0, "nonpositive lambda"),
+    ("example-4.2", "alpha", True, "parse error: alpha must be a number, got True"),
+    ("example-4.1", "rho", "0.25", "parse error: rho must be a number, got '0.25'"),
+    ("example-4.1", "lambda", False, "parse error: lambda must be a number, got False"),
+    ("example-4.2", "rho", 10**400, "parse error: int too large to convert to float"),
 ], ids=["no-lambda", "float-n", "integral-float-n", "string-n", "bool-m",
-        "m0-negative-lambda"])
+        "m0-negative-lambda", "bool-alpha", "string-rho", "bool-lambda", "huge-int-rho"])
 def test_bad_spec_file_is_input_error(tmp_path, name, key, value, message):
-    # lambda has no default, n and m are never truncated or converted, and
+    # lambda has no default, n and m are never truncated or converted,
+    # alpha, rho and lambda are JSON numbers, not booleans or strings, and
     # lambda > 0 holds whether or not there is a y block; load_spec and
     # `fpds certify <file>` (exit 66) report the same error
     doc = json.loads(serialize(builtin_scenario(name)))
