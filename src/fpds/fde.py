@@ -17,9 +17,11 @@ cost down, both exact up to rounding:
   PECE step, a probe, gives the patterns by its two evaluations. Once
   CONFIRM probes in a row gave the same pair, a block solves its rows as
   one linear recurrence, with one batched product by a strip of the
-  recurrence's resolvent blocks, which grows by doubling, and one
-  vectorized pass keeps the longest prefix of rows that are finite and
-  keep both patterns. The next block continues under the same patterns
+  recurrence's resolvent blocks, which grows by doubling; one product of
+  the rows' history sums with a fixed evaluation matrix gives their
+  states, derivatives and both clamp arguments, and one vectorized pass
+  keeps the longest prefix of rows that are finite and keep both
+  patterns. The next block continues under the same patterns
   without a probe, across leaf ends too; probes run only at the first steps
   and where a block stopped early, until a pair is confirmed or the last
   block's pair comes back.
@@ -104,16 +106,18 @@ CONFIRM = 3
 ZERO_TOL = 1e-9
 # the largest state dimension run in piecewise-affine blocks. A block row
 # costs about (LEAF/2 + 3 rows/4) d^2 multiply-adds, the resolvent's product
-# multiplying half of its zero upper triangle too, and each clamp-pattern pair
-# grows its strip of resolvent blocks, r d^3 for row r; a probe costs about
-# 4 d^2 and ten numpy calls a step. Random networks (bench's
-# random_network_document, three per d, random realization, start 2 off
-# the box midpoint) at 2000 steps, t_end 20, on a shared 2-CPU x86_64
-# machine with one BLAS thread: blocks took 0.14-0.20x the time of probes
-# alone at d = 5, 0.45-0.46x at d = 16, 0.56-0.60x at d = 24, 0.65-0.71x at
-# d = 32, 0.76-0.83x at d = 40, 0.90-1.05x at d = 50, 0.82-1.18x at d = 64
-# and 1.12-1.14x at d = 80. Without BLOCK_SIZE, blocks of 64 rows took
-# 0.47-0.50x at d = 16 and 0.74-0.95x at d = 24
+# multiplying half of its zero upper triangle too, plus 8 d^2 for its
+# evaluation product, and each clamp-pattern pair grows its strip of
+# resolvent blocks, r d^3 for row r; a probe costs about 4 d^2 and ten numpy
+# calls a step. Random networks (bench's random_network_document, three per
+# d, random realization, start 2 off the box midpoint) at 2000 steps, t_end
+# 20, on a shared 2-CPU x86_64 machine with one BLAS thread, three runs:
+# blocks took 0.33-0.46x the time of probes alone at d = 24, 0.42-0.61x at
+# d = 32, 0.64-0.72x at d = 40, 0.63-0.85x at d = 50 and 0.85-1.13x at
+# d = 64. With the check as two products (6 d^2) they took 0.14-0.20x at
+# d = 5, 0.45-0.46x at d = 16 and 1.12-1.14x at d = 80, and without
+# BLOCK_SIZE, blocks of 64 rows took 0.47-0.50x at d = 16 and 0.74-0.95x at
+# d = 24
 AFFINE_DIM = 40
 # the most unknowns a block solves at once, its rows times d: blocks of
 # LEAF rows at d = 5. A block's product with its rows of the resolvent
@@ -219,8 +223,9 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     no solver. While both patterns hold, f and c_corr f are affine
     (`AffineClamp.affine`), and a block's derivatives solve a linear
     recurrence (`_Linear`), solved by one batched product with a strip of
-    its resolvent's blocks. One vectorized pass evaluates the block's
-    predictors and states from those derivatives and keeps the longest
+    its resolvent's blocks. One product of the rows' history sums with the
+    solver's evaluation matrix gives the block's states, their derivatives
+    and both clamp arguments, and one vectorized pass keeps the longest
     prefix of rows that are finite and keep both patterns. A block that
     keeps every row is followed by the next block under the same patterns,
     twice as long, at most LEAF rows and BLOCK_SIZE unknowns, also across a
@@ -403,11 +408,24 @@ class _Linear:
     first t slabs. A block of r rows thus costs O(log r) products of
     growth, not one a row. Row a of T is zero past its block a, so `solve`
     multiplies the first h = r // 2 block rows by the first h blocks of G
-    only and the rest by all of G, 3/4 of the full product.
+    only and the rest by all of G, 3/4 of the full product; the two views
+    of a block of L rows are made once, since the strip grows in place.
+
+    Once F is known, a row's sums y = (P, C), its own block's rows
+    included, give everything the block keeps or checks in one evaluation
+    product ev = y E + e, built once per pattern pair: the state
+    z = C + At P + bt, the predictor's clamp argument R'_bot P, the
+    derivative f(z) = A z + bz - q and the state's clamp argument R_bot z
+    are all affine in y. With check_y the (2d x 2d) map from y to
+    (z - bt, R'_bot P) and check_z = [A^T | R_bot^T],
+    E = [check_y | check_y[:, :d] check_z] and
+    e = [bt | 0 | bt check_z + (bz - q | 0)], R'_bot and R_bot the clamp
+    rows of c_corr f and f. A kept row stores ev's z and f(z); that f(z) is
+    computed from the sums, not from the stored z, which moves it by
+    rounding only.
     """
 
-    __slots__ = ("Kh", "strip", "grown", "GA", "g0", "check_y", "check_z", "bt",
-                 "bf", "lo", "hi")
+    __slots__ = ("Kh", "strip", "grown", "full", "GA", "g0", "E", "e", "lo", "hi")
 
     def __init__(self, f: AffineClamp, f_corr: AffineClamp, pp: np.ndarray,
                  pz: np.ndarray, q: np.ndarray, W: np.ndarray):
@@ -421,22 +439,34 @@ class _Linear:
         self.strip = np.zeros((d, 2 * L - 1, d))
         self.strip[:, L - 1] = np.eye(d)
         self.grown = 1                      # R_0, ..., R_{grown-1} are in the strip
+        self.full = self._halves(L)         # valid as the strip grows in place
         self.GA = np.concatenate([AAt.T, A.T])
-        self.bt, self.bf = bt, bz - q
-        self.g0 = A @ bt + self.bf
-        # a row's sums (P, C) give z - bt and the predictor's clamp argument
-        # in one product, z gives f(z) - bf and its own clamp argument in
-        # another; z and f(z) must be finite and each argument inside its
-        # pattern's region
-        self.check_y = np.zeros((2 * d, 2 * d))
-        self.check_y[:d, :d] = At.T
-        self.check_y[:d, d:] = f_corr.R[d:].T
-        self.check_y[d:, :d] = np.eye(d)
-        self.check_z = np.concatenate([A.T, f.R[d:].T], axis=1)
+        bf = bz - q
+        self.g0 = A @ bt + bf
+        # ev = y E + e = [z | predictor's clamp argument | f(z) | state's
+        # clamp argument]; z and f(z) must be finite and each argument inside
+        # its pattern's region
+        check_y = np.zeros((2 * d, 2 * d))
+        check_y[:d, :d] = At.T
+        check_y[:d, d:] = f_corr.R[d:].T
+        check_y[d:, :d] = np.eye(d)
+        check_z = np.concatenate([A.T, f.R[d:].T], axis=1)
+        self.E = np.concatenate([check_y, check_y[:, :d] @ check_z], axis=1)
+        self.e = np.zeros(4 * d)
+        self.e[:d] = bt
+        self.e[2 * d :] = bt @ check_z
+        self.e[2 * d : 3 * d] += bf
         self.lo = np.full(4 * d, -_BIG)
         self.hi = np.full(4 * d, _BIG)
         self.lo[d : 2 * d], self.hi[d : 2 * d] = f_corr.region(pp)
         self.lo[3 * d :], self.hi[3 * d :] = f.region(pz)
+
+    def _halves(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """The strip's views that `solve` multiplies a block of rows by."""
+        d, L = self.strip.shape[0], self.strip.shape[1] // 2 + 1
+        h = rows // 2
+        return (_slabs(self.strip, (L - 1) * d, h, h * d, d),
+                _slabs(self.strip, (L - 1 - h) * d, rows - h, rows * d, d))
 
     def solve(self, G: np.ndarray, out: np.ndarray) -> None:
         """Write a block's derivatives F = T G, (rows, d), into out."""
@@ -456,8 +486,9 @@ class _Linear:
         self.grown = g
         G = G.ravel()
         h = rows // 2
-        np.matmul(_slabs(strip, (L - 1) * d, h, h * d, d), G[: h * d], out=out[:h])
-        np.matmul(_slabs(strip, (L - 1 - h) * d, rows - h, rows * d, d), G, out=out[h:])
+        first, rest = self.full if rows == L else self._halves(rows)
+        np.matmul(first, G[: h * d], out=out[:h])
+        np.matmul(rest, G, out=out[h:])
 
     def block(self, near: np.ndarray, Fs: np.ndarray, Zs: np.ndarray, leaf: int,
               k: int, base: np.ndarray) -> int:
@@ -478,15 +509,11 @@ class _Linear:
         y = (near[:, i:] @ Fs[k : k + rows]).reshape(rows, 2 * d)
         y += known.reshape(rows, 2 * d)
         # ev = [z | predictor's clamp argument | f(z) | state's clamp argument]
-        ev = np.empty((rows, 4 * d))
-        np.matmul(y, self.check_y, out=ev[:, : 2 * d])
-        z = ev[:, :d]
-        z += self.bt
-        np.matmul(z, self.check_z, out=ev[:, 2 * d :])
-        ev[:, 2 * d : 3 * d] += self.bf
+        ev = y @ self.E
+        ev += self.e
         ok = (ev >= self.lo) & (ev <= self.hi)
         kept = rows if ok.all() else int(ok.all(axis=1).argmin())
-        Zs[k : k + kept] = z[:kept]
+        Zs[k : k + kept] = ev[:kept, :d]
         Fs[k : k + kept] = ev[:kept, 2 * d : 3 * d]
         return kept
 

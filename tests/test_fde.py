@@ -10,7 +10,9 @@ import fpds
 from fpds import (StateVector, Weights, envelope_check, integrate,
                   mittag_leffler, picard_solve)
 
-from conftest import make_scalar_decay_spec
+from conftest import make_scalar_decay_spec, random_network
+
+EPS = np.finfo(float).eps
 
 
 def scalar_decay_traj(alpha, t_end=1.0, steps=2000):
@@ -551,6 +553,61 @@ def test_blocks_continue_without_a_probe(monkeypatch):
     traj = integrate(spec, real, z0, 20.0, 4000)
     assert np.isfinite(traj.states).all()
     assert len(calls) < 20
+
+
+KEPT_ROW_CASES = [(name, selector) for name in fpds.BUILTIN_NAMES
+                  for selector in ("lower", "upper", "random")] + [(16, "random"), (40, "random")]
+
+
+@pytest.mark.parametrize("start", [0.0, 1.5])
+@pytest.mark.parametrize("scenario,selector", KEPT_ROW_CASES)
+def test_kept_rows_are_self_consistent(monkeypatch, scenario, selector, start):
+    # a block gets a row's state, f(z) and both clamp arguments by one product
+    # from the row's history sums, so its f(z) comes from the sums, not from
+    # the stored state. Re-evaluated at every kept row, f gives the stored
+    # derivative within a few ulps of the row's scale (the largest sum of
+    # magnitudes of the terms either way adds up), and f and f_corr give the
+    # block's pattern pair except where an argument lies exactly on a bound
+    made, kept_rows = {}, []
+    linear = fpds.fde._Linear
+
+    def build(*args):
+        lin = linear(*args)
+        made[id(lin)] = args
+        return lin
+    block = linear.block
+
+    def checked(self, near, Fs, Zs, leaf, k, base):
+        kept = block(self, near, Fs, Zs, leaf, k, base)
+        f, f_corr, pp, pz, q, _ = made[id(self)]
+        d = q.size
+        i = k - leaf
+        # the kept rows' predictor and corrector sums
+        y = (near[: 2 * kept, : i + kept] @ Fs[leaf : k + kept]).reshape(kept, 2 * d)
+        y += base[:kept].reshape(kept, 2 * d)
+        fused = np.abs(y) @ np.abs(self.E[:, 2 * d : 3 * d]) + np.abs(self.e[2 * d : 3 * d])
+        direct = np.abs(Zs[k : k + kept]) @ np.abs(f.R[:d] + f.R[d:]).T
+        direct += np.abs(f.affine(pz)[1]) + np.abs(q)
+        for j in range(kept):
+            z = Zs[k + j]
+            scale = (fused[j] + direct[j]).max()
+            assert np.abs(Fs[k + j] - (f(z, np.empty(d)) - q)).max() <= 4 * EPS * scale
+            for form, arg, want in ((f, z, pz), (f_corr, y[j, :d], pp)):
+                form(arg, np.empty(d))
+                u = form.R[d:] @ arg
+                assert np.all((form.pattern() == want) | (u == form.lo) | (u == form.hi))
+        kept_rows.append(kept)
+        return kept
+    monkeypatch.setattr(fpds.fde, "_Linear", build)
+    monkeypatch.setattr(linear, "block", checked)
+    if isinstance(scenario, int):
+        spec = random_network(scenario, scenario)
+    else:
+        spec = fpds.builtin_scenario(scenario)
+    real = fpds.sample_realization(spec, selector, seed=5)
+    z0 = np.concatenate([spec.box1.midpoint() + start, spec.box2.midpoint() - start])
+    integrate(spec, real, StateVector.split(z0, spec.n), 350.0, 350)
+    assert sum(kept_rows) > 300
 
 
 def test_trajectory_is_bitwise_equal_with_the_table_cache_cold_or_warm():
