@@ -114,10 +114,8 @@ ZERO_TOL = 1e-9
 # 20, on a shared 2-CPU x86_64 machine with one BLAS thread, three runs:
 # blocks took 0.33-0.46x the time of probes alone at d = 24, 0.42-0.61x at
 # d = 32, 0.64-0.72x at d = 40, 0.63-0.85x at d = 50 and 0.85-1.13x at
-# d = 64. With the check as two products (6 d^2) they took 0.14-0.20x at
-# d = 5, 0.45-0.46x at d = 16 and 1.12-1.14x at d = 80, and without
-# BLOCK_SIZE, blocks of 64 rows took 0.47-0.50x at d = 16 and 0.74-0.95x at
-# d = 24
+# d = 64. It stays 40 although blocks still win at d = 50, since no
+# benchmark workload has d in 41-50 to show a gain from raising it
 AFFINE_DIM = 40
 # the most unknowns a block solves at once, its rows times d: blocks of
 # LEAF rows at d = 5. A block's product with its rows of the resolvent

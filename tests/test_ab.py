@@ -1,8 +1,11 @@
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 import fpds
 
@@ -47,3 +50,14 @@ def test_trees_load_as_distinct_packages():
     assert wa.fpds is a and wb.fpds is b and wa is not wb
     assert {k: sys.modules.get(k) for k in before} == before
     assert sys.modules["fpds"] is fpds
+
+
+def test_unknown_workload_is_named():
+    with pytest.raises(ValueError, match="no workload 'nope'"):
+        _ab().compare(SRC, SRC, "nope", 1)
+
+
+def test_environment_without_sched_getaffinity(monkeypatch):
+    # platforms without os.sched_getaffinity report os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _ab().environment()["nproc"] == os.cpu_count()

@@ -6,16 +6,17 @@ Loads the fpds package at --base (A) and this checkout's src/fpds (B) as
 two distinctly named packages, which works because fpds imports only
 relatively, and loads the benchmark's workload modules (bench/workloads.py
 with its checks and spans) once per tree, bound to that tree's package.
-Each request of the workload is generated on both trees from the same seed
-and run on both, in a random order per request, each run timed on its own;
-both outputs then go through the workload's own checks. The last line of
-standard output is one JSON object: the median of the per-request time
-ratios B/A with a bootstrap 95% interval, the median request times, the
-largest difference between the two trees' outputs (relative to
-max(1, |A's value|), over the whole trajectory where the request has one
-and the workload's reference record), whether the outputs agree bitwise,
-any check failures, and the environment. The exit code is 0 only if every
-request ran and passed its checks on both trees.
+Each request of the workload is generated on both trees from the seed the
+benchmark's reference outputs are stored for (bench/checks.py's
+DEFAULT_SEED) and run on both, in a random order per request, each run
+timed on its own; both outputs then go through the workload's own checks.
+The last line of standard output is one JSON object: the median of the
+per-request time ratios B/A with a bootstrap 95% interval, the median
+request times, the largest difference between the two trees' outputs
+(relative to max(1, |A's value|), over the whole trajectory where the
+request has one and the workload's reference record), whether the outputs
+agree bitwise, any check failures, and the environment. The exit code is 0
+only if every request ran and passed its checks on both trees.
 
 Use it for a speed claim in seconds instead of minutes: a ratio measured
 within one process is free of the drift between separate runs on a shared
@@ -132,16 +133,21 @@ def environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "mpmath": mpmath.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
-            "nproc": len(os.sched_getaffinity(0)), "machine": platform.machine()}
+            "nproc": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count()),
+            "machine": platform.machine()}
 
 
-def compare(base: Path, change: Path, workload: str, requests: int, seed: int = 0) -> dict:
+def compare(base: Path, change: Path, workload: str, requests: int) -> dict:
     """Run `requests` requests of `workload` on both trees, interleaved in a
     random order per request, and return the summary that `main` prints."""
     sides = {}
     for side, src in (("base", base), ("change", change)):
         pkg = load_tree(Path(src).resolve(), f"fpds_ab_{side}")
         workloads, spans = load_workloads(pkg)
+        if workload not in workloads.WORKLOADS:
+            raise ValueError(f"no workload {workload!r}: one of {', '.join(workloads.WORKLOADS)}")
+        seed = workloads.checks.DEFAULT_SEED
         wl = workloads.WORKLOADS[workload](seed)
         wl.setup()
         sides[side] = (wl, spans.NullTracer())
@@ -191,14 +197,12 @@ def compare(base: Path, change: Path, workload: str, requests: int, seed: int = 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, type=Path, help="the A tree's src/fpds directory")
-    p.add_argument("--workload", required=True,
-                   choices=("sweep-ex41", "envelope-long", "certify-solve"))
+    p.add_argument("--workload", required=True, help="a workload of bench/workloads.py")
     p.add_argument("--requests", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
-    if args.requests < 1 or args.seed < 0:
-        p.error("--requests must be positive and --seed nonnegative")
-    result = compare(args.base, ROOT / "src" / "fpds", args.workload, args.requests, args.seed)
+    if args.requests < 1:
+        p.error("--requests must be positive")
+    result = compare(args.base, ROOT / "src" / "fpds", args.workload, args.requests)
     for f in result["failures"]:
         print(f"FAILED {f}", file=sys.stderr)
     lo, hi = result["ratio_ci95"]
