@@ -51,7 +51,7 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
                  start: StateVector | None = None) -> Equilibrium:
     """Iterate z <- P(z) until the a posteriori contraction bound certifies
     that the iterate is within tol of the unique fixed point. Each iteration
-    adds the Picard step P(z) - z, `rhs_form` at unit gains, to z in place.
+    adds f(z) = P(z) - z, `rhs_form` at unit gains, to z in place.
 
     With contraction modulus kappa the stopping rule is
     ||z_{k+1} - z_k|| <= tol (1 - kappa) / kappa, which guarantees
@@ -62,10 +62,10 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
     spec keeps it per Weights object (`certificate`), so a solve given the
     weights of find_weights evaluates none.
 
-    Exact finish: on a fixed clamp pattern p the map is affine,
-    P(z) = z + A_p z + b_p - q (`AffineClamp.affine`), so once two
-    successive steps share a pattern not tried before, one linear solve
-    A_p z = q - b_p jumps to that piece's fixed point, if `_worth_solving`.
+    Exact finish: on a fixed clamp pattern p the step is affine,
+    f(z) = A_p z + b_p (`AffineClamp.affine`), so once two successive steps
+    share a pattern not tried before, one linear solve A_p z = -b_p jumps to
+    that piece's fixed point, if `_worth_solving`.
     A passing certificate makes A_p nonsingular: |I + A_p| <= T entrywise,
     T the comparison matrix of SystemSpec.blocks, which the certificate
     bounds by kappa in the weights, so rho(I + A_p) <= kappa < 1. The jump
@@ -93,13 +93,12 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
 
     wz = w.as_array()
     z = spec.blocks.box.midpoint() if start is None else _flat(spec, start)
-    f, q = rhs_form(spec, M, np.ones(z.size))     # P(z) - z = f(z) - q
+    f = rhs_form(spec, M, np.ones(z.size))        # P(z) - z = f(z)
     step, trial = np.empty(z.size), np.empty(z.size)
     steps: list[float] = []
     tried: set[bytes] = set()           # the patterns solved for
     before = None                       # the last step's pattern, if read
     f(z, step)
-    step -= q
     for k in range(1, max_iter + 1):
         delta = float(wz @ np.abs(step))
         steps.append(delta)
@@ -113,20 +112,17 @@ def picard_solve(spec: SystemSpec, M: np.ndarray, w: Weights,
             if key == before and key not in tried and k < max_iter:
                 tried.add(key)
                 A, b = f.affine(pattern)
-                jump = np.linalg.solve(A, q - b)
+                jump = np.linalg.solve(A, -b)
                 f(jump, trial)
-                trial -= q
                 if wz @ np.abs(trial) <= kappa * delta:     # NaN drops it
                     z, step, trial = jump, trial, step
                     before = key
                     continue
         f(z, step)
-        step -= q
         before = key
 
     a_priori = kappa ** k / (1.0 - kappa) * steps[0]
     f(z, step)
-    step -= q
     return Equilibrium(
         point=StateVector.split(z, spec.n),
         iterations=k,

@@ -11,19 +11,19 @@ cost down, both exact up to rounding:
   after it, with one dense product for blocks of one or two leaves and one
   FFT convolution for larger blocks (Hairer, Lubich & Schlichte 1985;
   Garrappa's fde12).
-- Piecewise-affine blocks. The right-hand side
-  f(z) = R_top z - q + clamp(R_bot z, lo', hi') is affine wherever its clamp
-  pattern (each row below, inside or above its bounds) is fixed. One exact
-  PECE step, a probe, gives the patterns by its two evaluations. Once
-  CONFIRM probes in a row gave the same pair, a block solves its rows as
-  one linear recurrence, with one batched product by a strip of the
-  recurrence's resolvent blocks, which grows by doubling; one product of
-  the rows' history sums with a fixed evaluation matrix gives their
-  states, derivatives and both clamp arguments, and one vectorized pass
-  keeps the longest prefix of rows that are finite and keep both
-  patterns. The next block continues under the same patterns
-  without a probe, across leaf ends too; probes run only at the first steps
-  and where a block stopped early, until a pair is confirmed or the last
+- Piecewise-affine blocks. The right-hand side f(z) = g (P(z) - z), one
+  affine-clamp form (`projection.rhs_form`), is affine, f(z) = A_p z + b_p,
+  wherever its clamp pattern p (each row below, inside or above its bounds)
+  is fixed. One exact PECE step, a probe, gives the patterns by its two
+  evaluations. Once CONFIRM probes in a row gave the same pair, a block
+  solves its rows as one linear recurrence, with one batched product by a
+  strip of the recurrence's resolvent blocks, which grows by doubling; one
+  product of the rows' history sums with a fixed evaluation matrix gives
+  their states, derivatives and both clamp arguments, and one vectorized
+  pass keeps the longest prefix of rows that are finite and keep both
+  patterns. The next block continues under the same patterns without a
+  probe, across leaf ends too; probes run only at the first steps and
+  where a block stopped early, until a pair is confirmed or the last
   block's pair comes back.
 
 Everything that depends on (alpha, h, steps) alone, the weights and their
@@ -137,9 +137,9 @@ class _Tables(NamedTuple):
 
     c_corr: float                    # h^alpha / Gamma(alpha + 2)
     W: np.ndarray                    # (2, steps): weights of F_j at step k, lag k - j
-    # (2 steps, 3): row 2k + p is (j0, 1, p), j0 the j = 0 weight of step k's
-    # predictor (p = 0) or corrector (p = 1); its product with (F_0; z0; -q_corr)
-    # is the base rows before the far history
+    # (2 steps, 2): row 2k + p is (j0, 1), j0 the j = 0 weight of step k's
+    # predictor (p = 0) or corrector (p = 1); its product with (F_0; z0) is
+    # the base rows before the far history
     start: np.ndarray
     near: np.ndarray                 # sums over a step's own leaf
     far: tuple[np.ndarray, ...]      # sums over earlier leaves, per level
@@ -162,17 +162,16 @@ def _tables(alpha: float, h: float, steps: int) -> _Tables:
     c_pred = h ** alpha / math.gamma(alpha + 1.0)
     c_corr = h ** alpha / math.gamma(alpha + 2.0)
     W = np.stack([c_pred * b_w[:steps], c_corr * a_w])
-    start = np.empty((steps, 2, 3))
+    start = np.empty((steps, 2, 2))
     start[:, :, 0] = np.stack([c_pred * b_w[:steps], c_corr * a0], axis=1)
     start[:, :, 1] = 1.0
-    start[:, :, 2] = (0.0, 1.0)
     far = []
     s = LEAF
     while s < steps:
         far.append(_toeplitz(W, s, s) if s < LEAF << DENSE_FAR
                    else np.fft.rfft(W[:, : 2 * s], n=2 * s)[:, None])
         s *= 2
-    tab = _Tables(c_corr, W, start.reshape(2 * steps, 3), _toeplitz(W, min(LEAF, steps), 0),
+    tab = _Tables(c_corr, W, start.reshape(2 * steps, 2), _toeplitz(W, min(LEAF, steps), 0),
                   tuple(far))
     for arr in (W, tab.start, tab.near, *far):
         arr.setflags(write=False)
@@ -195,15 +194,16 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     of W. The weights and their arrangements for the history sums depend on
     (alpha, h, steps) alone and come from one shared, read-only table
     (`_tables`), so a sweep over realizations builds them once. Step k's
-    j = 0 terms, the corrector's constant -c_corr q and its far history go
-    into a row base[k]; all but the far history are one product of the
-    table's `start` rows with (F_0; z0; -q_corr). The derivatives F, the
-    base rows and the far history's FFT buffers are views of one scratch
-    allocation (`_scratch`) of a size fixed by (steps, d), so the calls of
-    a sweep reuse its pages; only the states Z, which the trajectory keeps,
-    are a new array. The realization is checked once, here; f and the
-    corrector term c_corr f are the affine-clamp forms `rhs_form` builds
-    from the gains and from c_corr times the gains, once per call.
+    j = 0 terms and its far history go into a row base[k], the j = 0 terms
+    by one product of the table's `start` rows with (F_0; z0). The
+    derivatives F, the base rows and the far history's FFT buffers are
+    views of one scratch allocation (`_scratch`) of a size fixed by
+    (steps, d), so the calls of a sweep reuse its pages; only the states Z,
+    which the trajectory keeps, are a new array. The arguments and the
+    realization are checked once, here; a step size h = t_end / steps below
+    the smallest normal float is a SpecError. The right-hand side
+    f(z) = gains (P(z) - z) and the corrector term c_corr f are the forms
+    of `rhs_form` for the gains and c_corr times the gains.
 
     Far history: when the leaf of LEAF steps that ends at step e is done,
     the block [e - s, e), s the lowest set bit of e, is the left half of a
@@ -218,13 +218,13 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     the new state. Blocks run under a pattern pair that the last blocks ran
     under, or, for a new pair, once CONFIRM probes in a row gave it; until
     then the steps are probes, so a pair that holds for a step or two costs
-    no solver. While both patterns hold, f and c_corr f are affine
-    (`AffineClamp.affine`), and a block's derivatives solve a linear
-    recurrence (`_Linear`), solved by one batched product with a strip of
-    its resolvent's blocks. One product of the rows' history sums with the
-    solver's evaluation matrix gives the block's states, their derivatives
-    and both clamp arguments, and one vectorized pass keeps the longest
-    prefix of rows that are finite and keep both patterns. A block that
+    no solver. While both patterns hold, f and c_corr f are affine,
+    A_p z + b_p (`AffineClamp.affine`), and a block's derivatives solve a
+    linear recurrence (`_Linear`), solved by one batched product with a
+    strip of its resolvent's blocks. One product of the rows' history sums
+    with the solver's evaluation matrix gives the block's states, their
+    derivatives and both clamp arguments, and one vectorized pass keeps the
+    longest prefix of rows that are finite and keep both patterns. A block that
     keeps every row is followed by the next block under the same patterns,
     twice as long, at most LEAF rows and BLOCK_SIZE unknowns, also across a
     leaf end; a block that stops early is followed by a probe at the row
@@ -241,10 +241,12 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
         raise SpecError("steps must be >= 1")
     if not 0.0 < t_end < math.inf:
         raise SpecError("t_end must be finite and positive")
+    h = t_end / steps
+    if h < np.finfo(float).tiny:
+        raise SpecError(f"step size h = t_end / steps = {h:.6g} is zero or subnormal")
     M = check_realization(spec, M)
     z_init = _flat(spec, z0)
     alpha = spec.alpha
-    h = t_end / steps
     tab = _tables(alpha, h, steps)
     near = tab.near
 
@@ -264,14 +266,12 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     lags = tab.W[:, : longest - 1]          # the lags within a block
     probe, length = True, 2
     with np.errstate(over="ignore", invalid="ignore"):
-        f, q = rhs_form(spec, M, spec.gains)
-        # c_corr f = f_corr - q_corr
-        f_corr, q_corr = rhs_form(spec, M, tab.c_corr * spec.gains)
+        f = rhs_form(spec, M, spec.gains)
+        f_corr = rhs_form(spec, M, tab.c_corr * spec.gains)       # c_corr f
         f(z_init, F[0])
-        F[0] -= q
         # base[k]: z0 plus the j = 0 terms of step k's predictor and
-        # corrector, the corrector's constant -c_corr q, and the far history
-        np.matmul(tab.start, np.stack([F[0], z_init, -q_corr]), out=base.reshape(2 * steps, d))
+        # corrector, and the far history
+        np.matmul(tab.start, np.stack([F[0], z_init]), out=base.reshape(2 * steps, d))
         for leaf in range(0, steps, LEAF):
             end = min(leaf + LEAF, steps)
             k = leaf
@@ -287,7 +287,6 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
                     if not math.isfinite(z_new.sum()) and not np.isfinite(z_new).all():
                         raise IntegrationError(k + 1, h)
                     f(z_new, f_new)
-                    f_new -= q
                     k += 1
                     if affine:
                         pp, pz = f_corr.pattern(), f.pattern()
@@ -295,7 +294,7 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
                         run = run + 1 if key == seen else 1
                         seen = key
                         if key != lin_key and run >= CONFIRM:
-                            lin, lin_key = _Linear(f, f_corr, pp, pz, q, lags), key
+                            lin, lin_key = _Linear(f, f_corr, pp, pz, lags), key
                         probe = key != lin_key
                     continue
                 rows = min(length, end - k)
@@ -385,10 +384,10 @@ class _Linear:
     """The PECE step as a linear map for one pair of clamp patterns: pp of
     the predictor's evaluation and pz of the new state's.
 
-    With c_corr f(p) = At p + bt - c_corr q and f(z) = A z + bz - q, the
-    derivatives of a block's rows r = 0, 1, ... are
+    With c_corr f(p) = At p + bt and f(z) = A z + bz (`AffineClamp.affine`),
+    the derivatives of a block's rows r = 0, 1, ... are
         F_r = G_r + sum_{l=1..r} K_l F_{r-l},
-        K_l = w^C_{l-1} A + w^P_{l-1} A At,   G_r = A (C_r + bt + At P_r) + bz - q,
+        K_l = w^C_{l-1} A + w^P_{l-1} A At,   G_r = A (C_r + bt + At P_r) + bz,
     where P_r and C_r are row r's predictor and corrector sums over the rows
     before the block and w^P, w^C are the rows of W. That is (I - L) F = G,
     L block lower-triangular Toeplitz with blocks K_l, so F = T G, and the
@@ -413,11 +412,11 @@ class _Linear:
     included, give everything the block keeps or checks in one evaluation
     product ev = y E + e, built once per pattern pair: the state
     z = C + At P + bt, the predictor's clamp argument R'_bot P, the
-    derivative f(z) = A z + bz - q and the state's clamp argument R_bot z
-    are all affine in y. With check_y the (2d x 2d) map from y to
+    derivative f(z) = A z + bz and the state's clamp argument R_bot z are
+    all affine in y. With check_y the (2d x 2d) map from y to
     (z - bt, R'_bot P) and check_z = [A^T | R_bot^T],
     E = [check_y | check_y[:, :d] check_z] and
-    e = [bt | 0 | bt check_z + (bz - q | 0)], R'_bot and R_bot the clamp
+    e = [bt | 0 | bt check_z + (bz | 0)], R'_bot and R_bot the clamp
     rows of c_corr f and f. A kept row stores ev's z and f(z); that f(z) is
     computed from the sums, not from the stored z, which moves it by
     rounding only.
@@ -426,8 +425,8 @@ class _Linear:
     __slots__ = ("Kh", "strip", "grown", "full", "GA", "g0", "E", "e", "lo", "hi")
 
     def __init__(self, f: AffineClamp, f_corr: AffineClamp, pp: np.ndarray,
-                 pz: np.ndarray, q: np.ndarray, W: np.ndarray):
-        d = q.size
+                 pz: np.ndarray, W: np.ndarray):
+        d = pp.size
         At, bt = f_corr.affine(pp)
         A, bz = f.affine(pz)
         AAt = A @ At
@@ -439,8 +438,7 @@ class _Linear:
         self.grown = 1                      # R_0, ..., R_{grown-1} are in the strip
         self.full = self._halves(L)         # valid as the strip grows in place
         self.GA = np.concatenate([AAt.T, A.T])
-        bf = bz - q
-        self.g0 = A @ bt + bf
+        self.g0 = A @ bt + bz
         # ev = y E + e = [z | predictor's clamp argument | f(z) | state's
         # clamp argument]; z and f(z) must be finite and each argument inside
         # its pattern's region
@@ -453,7 +451,7 @@ class _Linear:
         self.e = np.zeros(4 * d)
         self.e[:d] = bt
         self.e[2 * d :] = bt @ check_z
-        self.e[2 * d : 3 * d] += bf
+        self.e[2 * d : 3 * d] += bz
         self.lo = np.full(4 * d, -_BIG)
         self.hi = np.full(4 * d, _BIG)
         self.lo[d : 2 * d], self.hi[d : 2 * d] = f_corr.region(pp)

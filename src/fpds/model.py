@@ -15,8 +15,10 @@ class SpecError(ValueError):
 
 def as_count(value, name: str) -> int:
     """value, a count such as steps or iterations, as an int; a numpy integer
-    passes, and a float, even 10.0, is a SpecError naming the argument."""
+    passes, and a bool or a float, even 10.0, is a SpecError naming it."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise SpecError(f"{name} must be an integer, not {type(value).__name__}") from None

@@ -2,6 +2,8 @@
 
 The constraint sets are products of shifted intervals, so every projection
 is an exact componentwise clamp; no iterative optimization is involved.
+The Picard step and the RHS are one form f(z) = g (P(z) - z) (`rhs_form`),
+f(z) = A_p z + b_p on each clamp pattern p (`AffineClamp.affine`).
 """
 from __future__ import annotations
 
@@ -76,23 +78,23 @@ def _flat(spec: SystemSpec, s: StateVector) -> np.ndarray:
 
 
 class AffineClamp:
-    """z -> R_top z + clamp(R_bot z, lo, hi) for a stacked (2d, d) operator R,
-    written into a caller's array through a work buffer of its own, so one
-    evaluation is one matrix-vector product, one clamp and one add with no
-    allocation. The buffer keeps the last evaluation's clamp argument R_bot z,
-    whose `pattern` says which rows clamped. An instance belongs to one loop:
-    its buffer is not shared across threads.
+    """z -> R_top z + clamp(R_bot z, lo, hi) - q, R a stacked (2d, d)
+    operator, into a caller's array through a work buffer of its own: one
+    matrix-vector product, one clamp, one add and one subtract, with no
+    allocation. The buffer keeps the last evaluation's clamp argument
+    R_bot z, whose `pattern` says which rows clamped. An instance belongs to
+    one loop: its buffer is not shared across threads.
 
     For a fixed pattern the form is affine, z -> A z + b (`affine`), on the
     closed region of arguments that `region` bounds; on a bound the adjacent
     patterns give the same value.
     """
 
-    __slots__ = ("R", "lo", "hi", "_u", "_top", "_bot", "_clamped")
+    __slots__ = ("R", "lo", "hi", "q", "_u", "_top", "_bot", "_clamped")
 
-    def __init__(self, R: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, R: np.ndarray, lo: np.ndarray, hi: np.ndarray, q: np.ndarray):
         d = lo.size
-        self.R, self.lo, self.hi = R, lo, hi
+        self.R, self.lo, self.hi, self.q = R, lo, hi, q
         self._u = np.empty(2 * d)
         self._top, self._bot = self._u[:d], self._u[d:]
         self._clamped = np.empty(d)
@@ -100,7 +102,8 @@ class AffineClamp:
     def __call__(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.dot(self.R, z, out=self._u)
         _clamp(self._bot, self.lo, self.hi, out=self._clamped)
-        return np.add(self._top, self._clamped, out=out)
+        np.add(self._top, self._clamped, out=out)
+        return np.subtract(out, self.q, out=out)
 
     def pattern(self) -> np.ndarray:
         """The clamp pattern of the last evaluation: per row of R_bot z, -1
@@ -109,12 +112,12 @@ class AffineClamp:
         return (u > self.hi).view(np.int8) - (u < self.lo).view(np.int8)
 
     def affine(self, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with A z + b = R_top z + clamp(R_bot z, lo, hi) wherever
-        R_bot z has this pattern: inside rows keep R_bot, clamped rows
-        contribute their bound."""
+        """(A, b) with A z + b = R_top z + clamp(R_bot z, lo, hi) - q
+        wherever R_bot z has this pattern: inside rows keep R_bot, clamped
+        rows contribute their bound."""
         d = self.lo.size
         A = self.R[:d] + (pattern == 0)[:, None] * self.R[d:]
-        b = np.where(pattern < 0, self.lo, np.where(pattern > 0, self.hi, 0.0))
+        b = np.where(pattern < 0, self.lo, np.where(pattern > 0, self.hi, 0.0)) - self.q
         return A, b
 
     def region(self, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,16 +128,14 @@ class AffineClamp:
         return lo_p, hi_p
 
 
-def rhs_form(spec: SystemSpec, M: np.ndarray,
-             g: np.ndarray) -> tuple[AffineClamp, np.ndarray]:
-    """g (P(z) - z) for a vector g > 0, P the Picard map of the realization
-    M, as an AffineClamp A and a shift q with g (P(z) - z) = A(z) - q:
-    R = [g (S - I); g (I - r M - S)], bounds g (lo + r c) and g (hi + r c),
-    q = g r c, exact because a positive scale commutes with the clamp. With
-    g the gains it is the dynamics' right-hand side; with g = 1 the Picard
-    step, P(z) = z + A(z) - q. It makes no checks. A folded bound that
-    overflows is infinite, which clamps every finite value as the exact
-    bound would."""
+def rhs_form(spec: SystemSpec, M: np.ndarray, g: np.ndarray) -> AffineClamp:
+    """f(z) = g (P(z) - z) for a vector g > 0, P the Picard map of the
+    realization M, as an AffineClamp: R = [g (S - I); g (I - r M - S)],
+    bounds g (lo + r c) and g (hi + r c) and q = g r c, exact because a
+    positive scale commutes with the clamp. With g the gains it is the
+    dynamics' right-hand side; with g = 1 the Picard step, P(z) = z + f(z).
+    It makes no checks. A folded bound that overflows is infinite, which
+    clamps every finite value as the exact bound would."""
     blk = spec.blocks
     d = blk.r.size
     rc = blk.r * blk.c
@@ -147,7 +148,7 @@ def rhs_form(spec: SystemSpec, M: np.ndarray,
         lower.flat[:: d + 1] += 1.0
         lower -= blk.S
         R *= np.concatenate([g, g])[:, None]
-        return AffineClamp(R, g * (blk.box.lo + rc), g * (blk.box.hi + rc)), g * rc
+        return AffineClamp(R, g * (blk.box.lo + rc), g * (blk.box.hi + rc), g * rc)
 
 
 def _scaled_step(spec: SystemSpec, M: np.ndarray, s: StateVector,
@@ -156,10 +157,8 @@ def _scaled_step(spec: SystemSpec, M: np.ndarray, s: StateVector,
     realization M and the state are checked."""
     M = check_realization(spec, M)
     z = _flat(spec, s)
-    f, q = rhs_form(spec, M, np.ones(z.size) if g is None else g)
-    out = f(z, np.empty(z.size))
-    out -= q
-    return z, out
+    f = rhs_form(spec, M, np.ones(z.size) if g is None else g)
+    return z, f(z, np.empty(z.size))
 
 
 def picard_map(spec: SystemSpec, M: np.ndarray, s: StateVector) -> StateVector:

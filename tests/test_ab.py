@@ -20,16 +20,18 @@ def _ab():
     return ab
 
 
-def test_a_against_a_agrees_bitwise(capsys):
-    # the same tree as A and as B: two packages whose outputs agree bitwise.
+@pytest.mark.parametrize("workload", ["sweep-ex41", "envelope-long", "certify-solve"])
+def test_a_against_a_agrees_bitwise(capsys, workload):
+    # the same tree as A and as B: two packages whose outputs agree bitwise,
+    # with a trajectory (sweep-ex41, envelope-long) or without (certify-solve).
     # Timing is not asserted beyond an interval that is finite and brackets
     # its own median
-    assert _ab().main(["--base", str(SRC), "--workload", "sweep-ex41", "--requests", "4"]) == 0
+    assert _ab().main(["--base", str(SRC), "--workload", workload, "--requests", "3"]) == 0
     result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert {"workload", "seed", "requests", "base", "change", "ratio_median", "ratio_ci95",
             "time_median_s", "max_output_diff", "outputs_bitwise_equal", "failures",
             "environment"} <= result.keys()
-    assert (result["workload"], result["requests"]) == ("sweep-ex41", 4)
+    assert (result["workload"], result["requests"]) == (workload, 3)
     assert result["failures"] == []
     assert result["outputs_bitwise_equal"] and result["max_output_diff"] == 0.0
     lo, hi = result["ratio_ci95"]

@@ -91,6 +91,14 @@ def test_bad_numeric_option_is_input_error(argv):
     assert text.startswith("error:")
 
 
+@pytest.mark.parametrize("t_end,steps", [("5e-324", "3"), ("1e-320", "1000")])
+def test_subnormal_step_size_is_input_error(t_end, steps):
+    # h = t_end / steps is zero or subnormal: no rows at t = 0, an input error
+    code, text = capture(["simulate", "example-4.2", "--t-end", t_end, "--steps", steps])
+    assert code == EXIT_INPUT
+    assert text.startswith("error: step size h")
+
+
 @pytest.mark.parametrize("command", ["certify", "equilibrium", "envelope", "sweep"])
 def test_infeasible_spec_file_has_no_weights(tmp_path, command):
     path = tmp_path / "infeasible.json"

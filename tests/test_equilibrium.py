@@ -154,6 +154,7 @@ def test_stalled_step_norm_stops_unconverged(ex41):
     ({"tol": -1e-10}, "tol"), ({"max_iter": 0}, "max_iter"),
     ({"max_iter": 10.0}, "max_iter must be an integer"),
     ({"max_iter": 2.5}, "max_iter must be an integer"),
+    ({"max_iter": True}, "max_iter must be an integer, not bool"),
 ])
 def test_solver_argument_validation(ex42, w42, kwargs, match):
     real = fpds.sample_realization(ex42, "lower")

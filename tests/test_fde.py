@@ -304,9 +304,25 @@ def test_argument_validation(ex42):
     for t_end in (-1.0, math.nan, math.inf):
         with pytest.raises(fpds.SpecError, match="t_end"):
             integrate(ex42, real, z0, t_end, 10)
-    for steps in (2.5, 10.0, "10"):
+    for steps in (2.5, 10.0, "10", True):
         with pytest.raises(fpds.SpecError, match="steps must be an integer"):
             integrate(ex42, real, z0, 1.0, steps)
+
+
+@pytest.mark.parametrize("t_end,steps", [(5e-324, 3), (1e-320, 1000), (1e-310, 10)])
+def test_zero_or_subnormal_step_size_is_rejected(ex42, t_end, steps):
+    # h = t_end / steps underflows to 0 or below the smallest normal float,
+    # where the grid cannot advance: a named error, not a trajectory at t = 0
+    real = fpds.sample_realization(ex42, "lower")
+    with pytest.raises(fpds.SpecError, match="step size h"):
+        integrate(ex42, real, StateVector(x=[1.0, 1.0], y=[]), t_end, steps)
+
+
+def test_smallest_normal_step_size_runs(ex42):
+    real = fpds.sample_realization(ex42, "lower")
+    tiny = np.finfo(float).tiny
+    traj = integrate(ex42, real, StateVector(x=[1.0, 1.0], y=[]), 2 * tiny, 2)
+    assert traj.times[-1] == 2 * tiny and np.isfinite(traj.states).all()
 
 
 def test_numpy_integer_steps_are_accepted(ex42):
@@ -438,19 +454,16 @@ def _direct_pece(spec, real, z0, t_end, steps):
     y = np.empty((2, z0.size))
     pred, corr = y
     with np.errstate(over="ignore", invalid="ignore"):
-        f, q = fpds.projection.rhs_form(spec, real, spec.gains)
-        f_corr, q_corr = fpds.projection.rhs_form(spec, real, c_corr * spec.gains)
+        f = fpds.projection.rhs_form(spec, real, spec.gains)
+        f_corr = fpds.projection.rhs_form(spec, real, c_corr * spec.gains)
         f(z0, F[0])
-        F[0] -= q
         base = z0 + J0[:, :, None] * F[0]
-        base[:, 1] -= q_corr
         for k in range(steps):
             np.matmul(W[:, steps - k :], F[1 : k + 1], out=y)
             y += base[k]
             f_corr(pred, Z[k + 1])
             Z[k + 1] += corr
             f(Z[k + 1], F[k + 1])
-            F[k + 1] -= q
     finite = np.isfinite(Z).all(axis=1)
     if not finite.all():
         raise fpds.IntegrationError(int(np.argmin(finite)), h)
@@ -579,19 +592,20 @@ def test_kept_rows_are_self_consistent(monkeypatch, scenario, selector, start):
 
     def checked(self, near, Fs, Zs, leaf, k, base):
         kept = block(self, near, Fs, Zs, leaf, k, base)
-        f, f_corr, pp, pz, q, _ = made[id(self)]
-        d = q.size
+        f, f_corr, pp, pz, _ = made[id(self)]
+        d = pz.size
         i = k - leaf
         # the kept rows' predictor and corrector sums
         y = (near[: 2 * kept, : i + kept] @ Fs[leaf : k + kept]).reshape(kept, 2 * d)
         y += base[:kept].reshape(kept, 2 * d)
         fused = np.abs(y) @ np.abs(self.E[:, 2 * d : 3 * d]) + np.abs(self.e[2 * d : 3 * d])
         direct = np.abs(Zs[k : k + kept]) @ np.abs(f.R[:d] + f.R[d:]).T
-        direct += np.abs(f.affine(pz)[1]) + np.abs(q)
+        # |b_p| + |q|, b_p the bound term before the shift q
+        direct += np.abs(np.where(pz < 0, f.lo, np.where(pz > 0, f.hi, 0.0))) + np.abs(f.q)
         for j in range(kept):
             z = Zs[k + j]
             scale = (fused[j] + direct[j]).max()
-            assert np.abs(Fs[k + j] - (f(z, np.empty(d)) - q)).max() <= 4 * EPS * scale
+            assert np.abs(Fs[k + j] - f(z, np.empty(d))).max() <= 4 * EPS * scale
             for form, arg, want in ((f, z, pz), (f_corr, y[j, :d], pp)):
                 form(arg, np.empty(d))
                 u = form.R[d:] @ arg
@@ -627,7 +641,7 @@ def test_trajectory_is_bitwise_equal_with_the_table_cache_cold_or_warm():
 def test_cached_tables_are_read_only():
     tab = fpds.fde._tables(0.9, 0.005, 4000)
     arrays = [tab.W, tab.start, tab.near, *tab.far]
-    assert tab.start.shape == (8000, 3)
+    assert tab.start.shape == (8000, 2)
     assert len(tab.far) == 6       # s = 64, 128, ..., 2048
     for arr in arrays:
         with pytest.raises(ValueError):

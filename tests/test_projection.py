@@ -229,7 +229,7 @@ def test_mis_split_weights_rejected(ex41, w41):
 def test_clamp_pattern_codes():
     # R = [0; I]: the clamp argument is z itself
     R = np.vstack([np.zeros((4, 4)), np.eye(4)])
-    form = fpds.projection.AffineClamp(R, np.zeros(4), np.ones(4))
+    form = fpds.projection.AffineClamp(R, np.zeros(4), np.ones(4), np.zeros(4))
     form(np.array([-0.5, 0.5, 1.5, 1.0]), np.empty(4))
     np.testing.assert_array_equal(form.pattern(), [-1, 0, 1, 0])
 
@@ -243,7 +243,7 @@ def test_affine_form_of_a_pattern_matches_the_clamp(scenario, gains):
     # clamp form, and the clamp argument lies in the pattern's region
     spec = fpds.builtin_scenario(scenario, gains=gains)
     real = fpds.sample_realization(spec, "random", seed=7)
-    form, _ = fpds.projection.rhs_form(spec, real, 0.7 * spec.gains)
+    form = fpds.projection.rhs_form(spec, real, 0.7 * spec.gains)
     d = spec.n + spec.m
     mid = spec.blocks.box.midpoint()
     rng = np.random.default_rng(29)
@@ -273,7 +273,7 @@ def test_adjacent_patterns_agree_on_a_bound():
     u = (R @ z)[3:]             # the argument exactly as the form computes it
     lo = np.array([u[0], u[1] - 1.0, u[2] - 1.0])
     hi = np.array([u[0] + 1.0, u[1], u[2] + 1.0])
-    form = fpds.projection.AffineClamp(R, lo, hi)
+    form = fpds.projection.AffineClamp(R, lo, hi, np.zeros(3))
     out = form(z, np.empty(3))
     size = ((np.abs(R[:3]) + np.abs(R[3:])) @ np.abs(z)).max()
     for p in ([-1, 0, 0], [0, 0, 0], [0, 1, 0], [-1, 1, 0]):
