@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import SpecError, SystemSpec
-from .projection import StateVector
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,6 @@ class Certificate:
                                        # None where w / g overflows
     min_slack: float
     passed: bool
-
-
-def weighted_norm(w: Weights, s: StateVector) -> float:
-    return float(w.mu @ np.abs(s.x) + w.tau @ np.abs(s.y))
 
 
 def certificate(spec: SystemSpec, w: Weights) -> Certificate:
@@ -112,15 +107,6 @@ def certificate(spec: SystemSpec, w: Weights) -> Certificate:
     return cert
 
 
-def comparison_system(spec: SystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """d = 1 - diag T and C = T^T with its diagonal zeroed, T the comparison
-    matrix of SystemSpec.blocks, so that diag(d) - C = I - T^T: weights w > 0
-    exist iff d > 0 and rho(D^-1 C) < 1, and then any w with
-    (diag(d) - C) w > 0 works."""
-    T = spec.blocks.T
-    return 1.0 - np.diag(T), T.T - np.diag(np.diag(T))
-
-
 def find_weights(spec: SystemSpec) -> Weights | None:
     """Search for weights making the certificate pass; None if infeasible.
 
@@ -128,7 +114,10 @@ def find_weights(spec: SystemSpec) -> Weights | None:
     T >= 0 off its diagonal makes I - T^T a Z-matrix, which has a positive
     solution iff it is a nonsingular M-matrix (Berman & Plemmons, ch. 6), so
     a singular system or a w not positive and finite means infeasible.
-    Otherwise w, which gives uniform slack across rows, is re-verified
+    With d = 1 - diag T and C = T^T with its diagonal zeroed, so that
+    diag(d) - C = I - T^T, weights w > 0 exist iff d > 0 and
+    rho(diag(d)^-1 C) < 1, and then any w with (diag(d) - C) w > 0 works.
+    The w found, which gives uniform slack across rows, is re-verified
     through certificate(), which decides in floating point.
     """
     T = spec.blocks.T

@@ -8,7 +8,7 @@ import numpy as np
 
 from .certify import Weights, certificate
 from .model import SpecError, SystemSpec, as_count, check_realization
-from .projection import StateVector, _flat, _scaled_step, rhs_form
+from .projection import StateVector, _flat, rhs_form
 
 
 class CertificateError(RuntimeError):
@@ -23,15 +23,6 @@ class Equilibrium:
     a_priori_bound: float
     converged: bool
     step_norms: np.ndarray  # successive-difference norms, one per iteration
-
-
-def residual(spec: SystemSpec, M: np.ndarray, w: Weights,
-             s: StateVector) -> float:
-    """Weighted-l1 norm of the Picard step P(z) - z, zero only at the
-    realization's equilibrium; each call builds the O((n+m)^2) form afresh."""
-    if w.mu.size != spec.n or w.tau.size != spec.m:
-        raise SpecError("dimension mismatch: weights")
-    return float(w.as_array() @ np.abs(_scaled_step(spec, M, s)[1]))
 
 
 def _worth_solving(d: int, delta: float, before: float, stop: float) -> bool:

@@ -55,9 +55,6 @@ class IntervalMatrix:
         object.__setattr__(self, "lower", _matrix(self.lower))
         object.__setattr__(self, "upper", _matrix(self.upper))
 
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
 
 @dataclass(frozen=True)
 class BoxSet:
@@ -228,36 +225,23 @@ def validate_system(spec: SystemSpec) -> SystemSpec:
 SELECTORS = ("lower", "upper", "midpoint", "random")
 
 
-def sample_matrix(im: IntervalMatrix, selector: str,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Pick one matrix from the interval family.
-
-    lower/upper/midpoint are deterministic; random draws each entry uniformly
-    from rng (a fresh unseeded generator by default).
-    """
-    if selector == "lower":
-        return np.array(im.lower)
-    if selector == "upper":
-        return np.array(im.upper)
-    if selector == "midpoint":
-        return im.midpoint()
-    if selector == "random":
-        rng = np.random.default_rng() if rng is None else rng
-        return im.lower + rng.random(im.lower.shape) * (im.upper - im.lower)
-    raise SpecError(f"unknown selector {selector!r}")
-
-
 def sample_realization(spec: SystemSpec, selector: str,
                        seed: int | None = None) -> np.ndarray:
-    """A realization: its read-only M = [[A, A*], [B*, B]] (A = M[:n, :n]),
-    sampled blockwise with one selector, in BLOCKS order and, for random,
-    from one generator, so a seed fixes every block. The vertices are the
-    spec's own assembled bounds M_lo and M_hi."""
-    if selector in ("lower", "upper"):
-        return spec.blocks.M_lo if selector == "lower" else spec.blocks.M_hi
-    rng = np.random.default_rng(seed) if selector == "random" else None
-    parts = [sample_matrix(getattr(spec, name), selector, rng=rng) for name, _, _ in BLOCKS]
-    return _matrix(_assemble(spec.n, spec.m, parts))
+    """A realization: its read-only M = [[A, A*], [B*, B]] (A = M[:n, :n]).
+    lower and upper are the spec's own assembled bounds M_lo and M_hi, and
+    midpoint is their mean. random draws each entry uniformly, block by
+    block in BLOCKS order from one generator, so a seed fixes every block."""
+    if selector not in SELECTORS:
+        raise SpecError(f"unknown selector {selector!r}")
+    if selector == "random":
+        rng = np.random.default_rng(seed)
+        parts = [im.lower + rng.random(im.lower.shape) * (im.upper - im.lower)
+                 for im in (getattr(spec, name) for name, _, _ in BLOCKS)]
+        return _matrix(_assemble(spec.n, spec.m, parts))
+    blk = spec.blocks
+    if selector == "midpoint":
+        return _matrix(0.5 * (blk.M_lo + blk.M_hi))
+    return blk.M_lo if selector == "lower" else blk.M_hi
 
 
 def check_realization(spec: SystemSpec, M: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""Box and shifted-box projections, the Picard map, and the dynamics RHS.
+"""Box and shifted-box projections, and the one form of the Picard step and
+the dynamics RHS.
 
 The constraint sets are products of shifted intervals, so every projection
 is an exact componentwise clamp; no iterative optimization is involved.
 The Picard step and the RHS are one form f(z) = g (P(z) - z) (`rhs_form`),
-f(z) = A_p z + b_p on each clamp pattern p (`AffineClamp.affine`).
+f(z) = A_p z + b_p on each clamp pattern p (`AffineClamp.affine`), which
+picard_solve and integrate build once per realization. project_box and
+project_implicit write the paper's P out directly, one projection a call.
 """
 from __future__ import annotations
 
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoxSet, SpecError, SystemSpec, check_realization
+from .model import BoxSet, SpecError, SystemSpec
 
 
 @dataclass(frozen=True)
@@ -149,30 +152,3 @@ def rhs_form(spec: SystemSpec, M: np.ndarray, g: np.ndarray) -> AffineClamp:
         lower -= blk.S
         R *= np.concatenate([g, g])[:, None]
         return AffineClamp(R, g * (blk.box.lo + rc), g * (blk.box.hi + rc), g * rc)
-
-
-def _scaled_step(spec: SystemSpec, M: np.ndarray, s: StateVector,
-                 g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The flat state z and g (P(z) - z), g = 1 by default, once the
-    realization M and the state are checked."""
-    M = check_realization(spec, M)
-    z = _flat(spec, s)
-    f = rhs_form(spec, M, np.ones(z.size) if g is None else g)
-    return z, f(z, np.empty(z.size))
-
-
-def picard_map(spec: SystemSpec, M: np.ndarray, s: StateVector) -> StateVector:
-    """One application of the fixed-point map whose fixed points are equilibria:
-    P_{S z + K}[z - r (M z + c)] on z = (x, y) with K = K1 x K2, in the block
-    form of SystemSpec.blocks, as z plus `rhs_form` at unit gains. Gains are
-    not applied (positive gains do not move the fixed point). Each call
-    builds the O((n+m)^2) form afresh."""
-    z, step = _scaled_step(spec, M, s)
-    step += z
-    return StateVector.split(step, spec.n)
-
-
-def rhs(spec: SystemSpec, M: np.ndarray, s: StateVector) -> StateVector:
-    """The dynamics' right-hand side gains * (P(z) - z) by `rhs_form`; each
-    call builds the O((n+m)^2) form afresh."""
-    return StateVector.split(_scaled_step(spec, M, s, spec.gains)[1], spec.n)

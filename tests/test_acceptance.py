@@ -12,6 +12,8 @@ import fpds
 from fpds import StateVector, Weights, certificate, mittag_leffler
 from fpds.cli import run as cli_run
 
+from conftest import scaled_step, weighted_norm
+
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {detail}")
@@ -65,18 +67,17 @@ def test_criterion_03_contraction(systems):
             kappa = certificate(spec, w).kappa
             for selector in ("lower", "upper"):
                 real = fpds.sample_realization(spec, selector)
+                step = scaled_step(spec, real)      # P(z) = z + step(z)
                 rng = np.random.default_rng(2)
                 for _ in range(1000):
-                    z1 = StateVector(x=rng.normal(scale=10, size=spec.n),
-                                     y=rng.normal(scale=10, size=spec.m))
-                    z2 = StateVector(x=rng.normal(scale=10, size=spec.n),
-                                     y=rng.normal(scale=10, size=spec.m))
-                    f1 = fpds.picard_map(spec, real, z1)
-                    f2 = fpds.picard_map(spec, real, z2)
-                    num = fpds.weighted_norm(
-                        w, StateVector(x=f2.x - f1.x, y=f2.y - f1.y))
-                    den = fpds.weighted_norm(
-                        w, StateVector(x=z2.x - z1.x, y=z2.y - z1.y))
+                    z1 = np.concatenate([rng.normal(scale=10, size=spec.n),
+                                         rng.normal(scale=10, size=spec.m)])
+                    z2 = np.concatenate([rng.normal(scale=10, size=spec.n),
+                                         rng.normal(scale=10, size=spec.m)])
+                    f1 = z1 + step(z1)
+                    f2 = z2 + step(z2)
+                    num = weighted_norm(w, f2 - f1)
+                    den = weighted_norm(w, z2 - z1)
                     if num > kappa * den:
                         violations += 1
         return violations

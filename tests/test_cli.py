@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -320,6 +321,29 @@ def test_sweep_summary():
     assert "sample   1 upper" in text
     assert "random[3]" in text and "random[4]" in text
     assert "summary: 4/4 passed" in text
+
+
+def test_sweep_makes_each_sample_when_its_turn_comes():
+    # a million samples must not be listed up front: stop at the first
+    # sample line and check how much memory the run had traced by then
+    class FirstSample(Exception):
+        pass
+
+    class Out(io.StringIO):
+        def write(self, text):
+            if text.startswith("sample"):
+                raise FirstSample
+            return super().write(text)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstSample):
+            run(["sweep", "example-4.2", "--weights", "2,1", "--samples", "1000000",
+                 "--t-end", "5", "--steps", "100"], out=Out())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,8 @@ import fpds
 from fpds import (StateVector, Weights, envelope_check, integrate,
                   mittag_leffler, picard_solve)
 
-from conftest import make_scalar_decay_spec, random_network
+from conftest import (exact_linear_solution, make_linear_spec, make_scalar_decay_spec,
+                      random_network, scaled_step)
 
 EPS = np.finfo(float).eps
 
@@ -417,16 +418,62 @@ def test_picard_map_and_rhs_match_project_implicit(scenario, gains, selector):
     real = fpds.sample_realization(spec, selector, seed=5)
     blk = spec.blocks
     f = _reference_rhs(spec, real)
+    step, rhs = scaled_step(spec, real), scaled_step(spec, real, spec.gains)
     rng = np.random.default_rng(11)
     for _ in range(100):
         z = blk.box.midpoint() + rng.normal(scale=3.0, size=blk.r.size)
-        s = StateVector.split(z, spec.n)
         p_ref = fpds.project_implicit(blk.S, blk.box, z, z - blk.r * (real @ z + blk.c))
         scale = max(np.abs(z).max(), np.abs(p_ref).max())
-        p_got = fpds.picard_map(spec, real, s).as_array()
+        p_got = z + step(z)
         assert np.abs(p_got - p_ref).max() <= 1e-15 * scale
-        r_got = fpds.rhs(spec, real, s).as_array()
+        r_got = rhs(z)
         assert np.abs(r_got - f(z)).max() <= 1e-15 * scale * spec.gains.max()
+
+
+def _check_against_exact(spec, z0, bound, free=None):
+    """integrate's trajectory at t_end 20 and 4000 steps, and the exact one
+    of exact_linear_solution, once the largest relative error, taken
+    against max(1, |z|), is at most bound and the observed order from 2000
+    steps, read from t = 1 on, at least 1 + alpha - 0.1."""
+    M, start = spec.blocks.M_lo, StateVector.split(z0, spec.n)
+    errors = []
+    for steps in (2000, 4000):
+        traj = integrate(spec, M, start, 20.0, steps)
+        exact = exact_linear_solution(spec, z0, traj.times, free)
+        err = np.abs(traj.states - exact) / np.maximum(1.0, np.abs(exact))
+        errors.append(err[traj.times >= 1.0].max())
+    assert err.max() <= bound
+    assert math.log2(errors[0] / errors[1]) >= 1.0 + spec.alpha - 0.1
+    return traj, exact
+
+
+# the largest error over the whole grid sits at the first steps for alpha =
+# 0.5, where z - z0 grows like t^alpha, and its order there is irregular; the
+# order is read from t = 1 on, where it is about 1 + alpha
+@pytest.mark.parametrize("seed,alpha,bound", [
+    (1, 0.5, 1.2e-3), (1, 0.8, 1.8e-4), (1, 0.95, 4.3e-5),
+    (2, 0.5, 2.1e-3), (2, 0.8, 5.6e-5), (2, 0.95, 1.6e-5),
+])
+def test_integrate_against_the_exact_solution_of_a_coupled_linear_spec(seed, alpha, bound):
+    spec = make_linear_spec(seed, alpha)
+    _check_against_exact(spec, np.linspace(-2.0, 3.0, spec.n + spec.m), bound)
+
+
+@pytest.mark.parametrize("alpha,bound", [(0.5, 1.4e-3), (0.8, 6.1e-5), (0.95, 2.1e-5)])
+def test_integrate_against_the_exact_solution_on_a_fixed_clamp_pattern(alpha, bound):
+    # x row 1 held at its upper bound and y row 1 (row 4) at its lower one:
+    # on that pattern f is affine, and the three free rows follow their
+    # exact solution with the clamped rows as constants, as long as both
+    # trajectories stay in the pattern's region
+    spec = make_linear_spec(1, alpha, clamp=[(1, 1, 0.5), (4, -1, -1.0)])
+    z0 = np.linspace(-2.0, 3.0, 5)
+    z0[[1, 4]] = [0.5, -1.0]
+    traj, exact = _check_against_exact(spec, z0, bound, free=[0, 2, 3])
+    f = fpds.projection.rhs_form(spec, spec.blocks.M_lo, np.ones(5))
+    lo_p, hi_p = f.region(np.array([0, 1, 0, 0, -1], dtype=np.int8))
+    for states in (traj.states, exact):
+        u = states @ f.R[5:].T
+        assert np.all((lo_p <= u) & (u <= hi_p))
 
 
 def _direct_pece(spec, real, z0, t_end, steps):

@@ -65,12 +65,12 @@ def test_scalar_parameter_errors(field, value, msg):
 
 def test_unknown_selector(ex42):
     with pytest.raises(SpecError, match="unknown selector 'vertex'"):
-        fpds.sample_matrix(ex42.A, "vertex")
+        fpds.sample_realization(ex42, "vertex")
 
 
 def test_sample_lower_matches_printed_bounds(ex42):
     np.testing.assert_array_equal(
-        fpds.sample_matrix(ex42.A, "lower"),
+        fpds.sample_realization(ex42, "lower")[:2, :2],
         [[3.7, -1.1], [-1.8, 3.1]],
     )
 
@@ -87,24 +87,24 @@ def test_vertices_are_the_assembled_bounds(name):
         assert M.tobytes() == fpds.model._assemble(spec.n, spec.m, parts).tobytes()
 
 
-def test_sample_degenerate_interval():
+def test_sample_degenerate_interval(ex42):
     M = [[1.0, 2.0], [3.0, 4.0]]
-    im = IntervalMatrix(M, M)
+    spec = dataclasses.replace(ex42, A=IntervalMatrix(M, M))
     for sel in ("lower", "upper", "midpoint"):
-        np.testing.assert_array_equal(fpds.sample_matrix(im, sel), M)
-    np.testing.assert_array_equal(
-        fpds.sample_matrix(im, "random", rng=np.random.default_rng(7)), M)
+        np.testing.assert_array_equal(fpds.sample_realization(spec, sel), M)
+    np.testing.assert_array_equal(fpds.sample_realization(spec, "random", seed=7), M)
 
 
 def test_random_samples_stay_in_bounds(ex41):
+    blk = ex41.blocks
     for seed in range(1000):
-        M = fpds.sample_matrix(ex41.B, "random", rng=np.random.default_rng(seed))
-        assert np.all(M >= ex41.B.lower) and np.all(M <= ex41.B.upper)
+        M = fpds.sample_realization(ex41, "random", seed=seed)
+        assert np.all(M >= blk.M_lo) and np.all(M <= blk.M_hi)
 
 
 def test_random_sampling_deterministic(ex41):
-    a = fpds.sample_matrix(ex41.A, "random", rng=np.random.default_rng(42))
-    b = fpds.sample_matrix(ex41.A, "random", rng=np.random.default_rng(42))
+    a = fpds.sample_realization(ex41, "random", seed=42)
+    b = fpds.sample_realization(ex41, "random", seed=42)
     np.testing.assert_array_equal(a, b)
 
 
@@ -120,16 +120,12 @@ def test_realization_containment_check(ex41):
 def _boundary_calls(ex41, w41):
     s = fpds.StateVector(x=ex41.box1.midpoint(), y=ex41.box2.midpoint())
     return {
-        "picard_map": lambda real: fpds.picard_map(ex41, real, s),
-        "rhs": lambda real: fpds.rhs(ex41, real, s),
-        "residual": lambda real: fpds.residual(ex41, real, w41, s),
         "picard_solve": lambda real: fpds.picard_solve(ex41, real, w41),
         "integrate": lambda real: fpds.integrate(ex41, real, s, 1.0, 10),
     }
 
 
-@pytest.mark.parametrize("entry", ["picard_map", "rhs", "residual", "picard_solve",
-                                   "integrate"])
+@pytest.mark.parametrize("entry", ["picard_solve", "integrate"])
 def test_every_entry_point_checks_the_realization(ex41, w41, entry):
     call = _boundary_calls(ex41, w41)[entry]
     M = np.array(fpds.sample_realization(ex41, "midpoint"))
@@ -169,15 +165,32 @@ def test_seeded_sampling_matches_blockwise_draws(name):
     # the bench references depend on these draws: A, A*, B, B* in that
     # order from one generator, placed as M = [[A, A*], [B*, B]]
     spec = fpds.builtin_scenario(name)
+
+    def pick(im, selector, rng):
+        if selector == "random":
+            return im.lower + rng.random(im.lower.shape) * (im.upper - im.lower)
+        return {"lower": im.lower, "upper": im.upper,
+                "midpoint": 0.5 * (im.lower + im.upper)}[selector]
+
     for selector in fpds.model.SELECTORS:
         for seed in (0, 1, 5, 17, 123456789):
             rng = np.random.default_rng(seed)
-            A, Astar, B, Bstar = (fpds.sample_matrix(getattr(spec, block), selector, rng=rng)
+            A, Astar, B, Bstar = (pick(getattr(spec, block), selector, rng)
                                   for block in ("A", "Astar", "B", "Bstar"))
             want = np.block([[A, Astar], [Bstar, B]])
             got = fpds.sample_realization(spec, selector, seed=seed)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (selector, seed)
+
+
+@pytest.mark.parametrize("name", fpds.BUILTIN_NAMES)
+def test_midpoint_is_the_blockwise_midpoints(name):
+    # the mean of the assembled bounds is, entry by entry, each block's own
+    spec = fpds.builtin_scenario(name)
+    parts = [0.5 * (getattr(spec, block).lower + getattr(spec, block).upper)
+             for block, _, _ in fpds.model.BLOCKS]
+    want = fpds.model._assemble(spec.n, spec.m, parts)
+    assert fpds.sample_realization(spec, "midpoint").tobytes() == want.tobytes()
 
 
 def test_m_zero_blocks_are_empty(ex42):
