@@ -262,7 +262,7 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     lin, lin_key = None, b""
     seen, run = b"", 0
     affine = d <= AFFINE_DIM
-    longest = min(LEAF, max(2, BLOCK_SIZE // d))
+    longest = min(LEAF, BLOCK_SIZE // d)
     lags = tab.W[:, : longest - 1]          # the lags within a block
     probe, length = True, 2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -527,7 +527,8 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
 
     A point with V <= ZERO_TOL passes with ratio 0. Any other point has ratio
     V / envelope (inf where the envelope is 0, as after underflow) and is a
-    violation iff V > (1+slack) * envelope."""
+    violation iff V > (1+slack) * envelope, as an infinite V is. A NaN V
+    raises SpecError naming its first grid index."""
     check_slack(slack)
     if not 0.0 < theta < math.inf:
         raise SpecError("theta must be finite and positive")
@@ -539,6 +540,8 @@ def envelope_check(traj: Trajectory, eq: Equilibrium, w: Weights, theta: float,
 
     dist = np.subtract(traj.states, eq_arr)
     v = np.abs(dist, out=dist) @ w.as_array()
+    if math.isnan(v.max()):                 # V >= 0: the max is NaN iff an entry is
+        raise SpecError(f"V is NaN at grid index {int(np.isnan(v).argmax())}")
     v0 = float(v[0])
     if v0 <= ZERO_TOL:
         env = np.zeros_like(v)

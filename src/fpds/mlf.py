@@ -1,8 +1,9 @@
-"""The Mittag-Leffler function E_alpha(z) = sum_k z^k / Gamma(alpha k + 1).
+"""The Mittag-Leffler function E_alpha(z) = sum_k z^k / Gamma(alpha k + 1) at
+the arguments z <= 0 that the decay envelope V(0) E_alpha(-theta t^alpha)
+needs, and at every real z for alpha = 1, where E is exp(z).
 
-For z > 0 every term is positive and the series is summed directly. For
-z < 0 the series alternates and cancels by up to exp(u), u = |z|^(1/alpha),
-so no double-precision series works there. Instead E is the inverse Laplace
+For z < 0 the series alternates and cancels by up to exp(u), u =
+|z|^(1/alpha), so no double-precision series works. E is the inverse Laplace
 transform
 
     E_alpha(z) = (1/2 pi i) int e^s s^(alpha-1) / (s^alpha - z) ds
@@ -13,8 +14,9 @@ Mittag-Leffler functions", SIAM J. Numer. Anal. 53, 2015; J. A. C. Weideman
 and L. N. Trefethen, "Parabolic and hyperbolic contours for computing the
 Bromwich integral", Math. Comp. 76, 2007). For z < 0 and alpha <= 1 the
 poles s^alpha = z lie off the principal sheet, and the branch point at 0 has
-strength 0, so one contour serves every alpha and every z < 0, and an array
-of arguments is evaluated in one broadcast sum.
+strength 0, so one contour serves every alpha and every z < 0. The one
+evaluator, `_ml_negative`, takes an array of x = -z in one broadcast sum;
+`mittag_leffler` and `ml_envelope` both call it.
 
 Both are cached: the nodes per alpha, and the decay envelope `ml_envelope`
 at v0 = 1 per (alpha, theta, time grid), read-only, so the trajectories of
@@ -36,24 +38,6 @@ _N = 27
 _CHUNK = 1024            # arguments per broadcast block: temporaries stay small
 
 
-def _series_positive(alpha: float, z: float) -> float:
-    # all terms positive (no cancellation); log-space terms avoid z^k overflow
-    # while the sum itself is still representable
-    lz = math.log(z)
-    acc = 0.0
-    prev = -math.inf
-    for k in range(1_000_000):
-        lt = k * lz - math.lgamma(alpha * k + 1.0)
-        if lt > 709.0:
-            return math.inf
-        term = math.exp(lt)
-        acc += term
-        if term < prev and term <= 1e-18 * acc:
-            break
-        prev = term
-    return acc
-
-
 @functools.lru_cache(maxsize=64)
 def _contour(alpha: float) -> tuple[np.ndarray, ...]:
     """Trapezoidal nodes for E_alpha on the u >= 0 half of the parabola:
@@ -72,13 +56,17 @@ def _contour(alpha: float) -> tuple[np.ndarray, ...]:
 
 
 def _ml_negative(alpha: float, x: np.ndarray) -> np.ndarray:
-    """E_alpha(-x) for a 1-D array of x > 0.
+    """E_alpha(-x) for a 1-D array of x >= 0 (any real x at alpha = 1).
 
-    With d = Re s^alpha + x and q = Im s^alpha, the node sum is
-    sum (w_r d + w_i q) / (d^2 + q^2). d and q are scaled by a power of two
-    near 1/(1 + x), which is exact, so d^2 cannot overflow for any finite x;
-    x beyond the float range is clipped to it (E(-inf) comes out as about
-    1e-309)."""
+    At alpha = 1 this is exp(-x), inf where it overflows. Otherwise it is
+    exactly 1 at x = 0, and elsewhere, with d = Re s^alpha + x and
+    q = Im s^alpha, the node sum sum (w_r d + w_i q) / (d^2 + q^2). d and q
+    are scaled by a power of two near 1/(1 + x), which is exact, so d^2
+    cannot overflow for any finite x; x beyond the float range is clipped to
+    it (E(-inf) comes out as about 1e-309)."""
+    if alpha == 1.0:
+        with np.errstate(over="ignore"):
+            return np.exp(-x)
     sa_r, sa_i, w_r, w_i = _contour(alpha)
     x = np.minimum(x, np.finfo(float).max)
     out = np.empty_like(x)
@@ -88,6 +76,7 @@ def _ml_negative(alpha: float, x: np.ndarray) -> np.ndarray:
         d = (sa_r + xc) * g
         q = sa_i * g
         out[i : i + _CHUNK] = g[:, 0] * ((w_r * d + w_i * q) / (d * d + q * q)).sum(axis=1)
+    out[x == 0.0] = 1.0
     return out
 
 
@@ -97,8 +86,10 @@ def _check_alpha(alpha: float) -> None:
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:
-    """E_alpha(z) = E_{alpha,1}(z) for real z and alpha in (0, 1]; beta must
-    be 1 (any other value raises ValueError).
+    """E_alpha(z) = E_{alpha,1}(z) for alpha in (0, 1] and real z <= 0, or
+    any real z at alpha = 1, where E is exp(z) (inf where that leaves the
+    float range, z above about 709.78). beta must be 1; any other beta, a NaN
+    z and a positive z at alpha < 1 raise ValueError.
 
     Accuracy for z < 0 (against an extended-precision series): relative
     error below 1e-12 for alpha in [0.1, 0.95] and u = |z|^(1/alpha) up to
@@ -106,8 +97,7 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     is absolute, about 1e-18, so where E itself is tiny it is no longer
     small relative to E. That happens close to alpha = 1, where E tends to
     exp(-u): for alpha in {0.999, 0.9999} and u <= 60 the bound is rel
-    1e-11. At alpha = 1 E is exp(z). Where E leaves the float range (z above
-    about 709.78 at alpha = 1) the result is inf."""
+    1e-11. E(0) is exactly 1."""
     alpha = float(alpha)
     _check_alpha(alpha)
     if float(beta) != 1.0:
@@ -115,15 +105,8 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     z = float(z)
     if math.isnan(z):
         raise ValueError("argument z is NaN")
-    if alpha == 1.0:
-        try:
-            return math.exp(z)
-        except OverflowError:
-            return math.inf
-    if z == 0.0:
-        return 1.0
-    if z > 0.0:
-        return _series_positive(alpha, z)
+    if z > 0.0 and alpha < 1.0:
+        raise ValueError(f"argument z must be <= 0 for alpha < 1: z = {z}")
     return float(_ml_negative(alpha, np.array([-z]))[0])
 
 
@@ -153,12 +136,6 @@ def ml_envelope(alpha: float, theta: float, v0: float, t):
 def _unit_envelope(alpha: float, theta: float, grid: bytes) -> np.ndarray:
     """E_alpha(-theta t^alpha) on the grid of times whose float64 bytes are
     `grid`, as a read-only 1-D array."""
-    x = theta * np.frombuffer(grid) ** alpha
-    if alpha == 1.0:
-        env = np.exp(-x)
-    else:
-        env = np.ones_like(x)
-        live = x > 0.0
-        env[live] = _ml_negative(alpha, x[live])
+    env = _ml_negative(alpha, theta * np.frombuffer(grid) ** alpha)
     env.setflags(write=False)
     return env

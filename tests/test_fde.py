@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import platform
 import sys
@@ -276,6 +277,27 @@ def test_envelope_argument_validation(ex42, w42, kwargs, match):
     args = {"theta": 0.05, **kwargs}
     with pytest.raises(fpds.SpecError, match=match):
         envelope_check(traj, eq, w42, **args)
+
+
+@pytest.mark.parametrize("first,entries", [(1, np.s_[1:]), (137, np.s_[137, 1]),
+                                           (400, np.s_[400, 0])])
+def test_envelope_nan_trajectory_is_named(ex42, w42, first, entries):
+    # a NaN V is never above the envelope, so it must not read as a pass
+    real = fpds.sample_realization(ex42, "lower")
+    eq = picard_solve(ex42, real, w42)
+    traj = integrate(ex42, real, StateVector(x=[5.8, -4.2], y=[]), 20.0, 400)
+    traj.states[entries] = math.nan
+    with pytest.raises(fpds.SpecError, match=f"V is NaN at grid index {first}$"):
+        envelope_check(traj, eq, w42, 0.05)
+
+
+def test_envelope_nan_equilibrium_is_named(ex42, w42):
+    real = fpds.sample_realization(ex42, "lower")
+    traj = integrate(ex42, real, StateVector(x=[5.8, -4.2], y=[]), 1.0, 10)
+    eq = picard_solve(ex42, real, w42)
+    eq = dataclasses.replace(eq, point=StateVector(x=[math.nan, eq.point.x[1]], y=[]))
+    with pytest.raises(fpds.SpecError, match="V is NaN at grid index 0$"):
+        envelope_check(traj, eq, w42, 0.05)
 
 
 def test_envelope_equilibrium_of_wrong_size(ex41, ex42, w42):
