@@ -16,15 +16,15 @@ cost down, both exact up to rounding:
   wherever its clamp pattern p (each row below, inside or above its bounds)
   is fixed. One exact PECE step, a probe, gives the patterns by its two
   evaluations. Once CONFIRM probes in a row gave the same pair, a block
-  solves its rows as one linear recurrence, with one batched product by a
-  strip of the recurrence's resolvent blocks, which grows by doubling; one
-  product of the rows' history sums with a fixed evaluation matrix gives
-  their states, derivatives and both clamp arguments, and one vectorized
-  pass keeps the longest prefix of rows that are finite and keep both
-  patterns. The next block continues under the same patterns without a
-  probe, across leaf ends too; probes run only at the first steps and
-  where a block stopped early, until a pair is confirmed or the last
-  block's pair comes back.
+  solves every row left in its leaf as one linear recurrence, with one
+  batched product by a strip of the recurrence's resolvent blocks, built
+  whole once per pair; one product of the rows' history sums with a fixed
+  evaluation matrix gives their states, derivatives and both clamp
+  arguments, and one vectorized pass keeps the longest prefix of rows that
+  are finite and keep both patterns. The next block continues under the
+  same patterns without a probe, across leaf ends too; probes run only at
+  the first steps and where a block stopped early, until a pair is
+  confirmed or the last block's pair comes back.
 
 Everything that depends on (alpha, h, steps) alone, the weights and their
 arrangements for the history sums, is one cached read-only table
@@ -107,7 +107,7 @@ ZERO_TOL = 1e-9
 # the largest state dimension run in piecewise-affine blocks. A block row
 # costs about (LEAF/2 + 3 rows/4) d^2 multiply-adds, the resolvent's product
 # multiplying half of its zero upper triangle too, plus 8 d^2 for its
-# evaluation product, and each clamp-pattern pair grows its strip of
+# evaluation product, and each clamp-pattern pair builds its strip of
 # resolvent blocks, r d^3 for row r; a probe costs about 4 d^2 and ten numpy
 # calls a step. Random networks (bench's random_network_document, three per
 # d, random realization, start 2 off the box midpoint) at 2000 steps, t_end
@@ -224,17 +224,16 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     strip of its resolvent's blocks. One product of the rows' history sums
     with the solver's evaluation matrix gives the block's states, their
     derivatives and both clamp arguments, and one vectorized pass keeps the
-    longest prefix of rows that are finite and keep both patterns. A block that
-    keeps every row is followed by the next block under the same patterns,
-    twice as long, at most LEAF rows and BLOCK_SIZE unknowns, also across a
-    leaf end; a block that stops early is followed by a probe at the row
-    where it stopped, and then by a block of twice the rows it kept. The
-    first block, after the first CONFIRM probes, has two rows. A probe
-    whose state is not finite raises IntegrationError(step, h) at once; a
-    kept row is always finite, so the first non-finite state is a probe's,
-    at the step where the step-by-step scheme meets it. numpy's overflow
-    warnings are silenced so that the error is the only signal. Systems of
-    more than AFFINE_DIM unknowns run every step as a probe.
+    longest prefix of rows that are finite and keep both patterns. Every
+    block asks for the rows left in its leaf, at most BLOCK_SIZE unknowns.
+    A block that keeps every row is followed by the next block under the
+    same patterns, also across a leaf end; a block that stops early is
+    followed by a probe at the row where it stopped. A probe whose state is
+    not finite raises IntegrationError(step, h) at once; a kept row is
+    always finite, so the first non-finite state is a probe's, at the step
+    where the step-by-step scheme meets it. numpy's overflow warnings are
+    silenced so that the error is the only signal. Systems of more than
+    AFFINE_DIM unknowns run every step as a probe.
     """
     steps = as_count(steps, "steps")
     if steps < 1:
@@ -264,7 +263,7 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
     affine = d <= AFFINE_DIM
     longest = min(LEAF, BLOCK_SIZE // d)
     lags = tab.W[:, : longest - 1]          # the lags within a block
-    probe, length = True, 2
+    probe = True
     with np.errstate(over="ignore", invalid="ignore"):
         f = rhs_form(spec, M, spec.gains)
         f_corr = rhs_form(spec, M, tab.c_corr * spec.gains)       # c_corr f
@@ -297,11 +296,10 @@ def integrate(spec: SystemSpec, M: np.ndarray, z0: StateVector,
                             lin, lin_key = _Linear(f, f_corr, pp, pz, lags), key
                         probe = key != lin_key
                     continue
-                rows = min(length, end - k)
+                rows = min(longest, end - k)
                 kept = lin.block(near[2 * i : 2 * (i + rows), : i + rows], Fs, Zs,
                                  leaf, k, base[k : k + rows])
                 probe = kept < rows
-                length = min(longest, 2 * (kept + 1) if probe else 2 * length)
                 k += kept
             if end < steps:
                 _add_far(base, Fs, tab, end, work)
@@ -395,18 +393,18 @@ class _Linear:
     block (r, j) R_{r-j}. The strip holds R_{L-1}, ..., R_1, R_0 = I side by
     side, then zeros, L the longest block, and its slabs (`_slabs`) are T's
     block rows. (I - L) T = I, so the R_r solve the left-hand recurrence
-    R_r = sum_{l=1..r} K_l R_{r-l}. The strip grows by doubling, as far as
-    the longest block asked for: given R_0, ..., R_{g-1}, the next t <= g
-    blocks R_{g+m} = Y_m + sum_{l=1..m} K_l R_{g+m-l}, where the terms
-    l > m, Y_m = [K_{m+1} ... K_{m+g}] (R_{g-1}; ...; R_0), are one batched
+    R_r = sum_{l=1..r} K_l R_{r-l}. The solver builds the whole strip at
+    once, by doubling: given R_0, ..., R_{g-1}, the next t <= g blocks
+    R_{g+m} = Y_m + sum_{l=1..m} K_l R_{g+m-l}, where the terms l > m,
+    Y_m = [K_{m+1} ... K_{m+g}] (R_{g-1}; ...; R_0), are one batched
     product of windows of Kh (K_1, ..., K_{L-1} side by side) with the
     stacked R. The rest is block lower-triangular Toeplitz with the blocks
     K_l, so (R_g; ...; R_{g+t-1}) = T Y, one product with the strip's own
-    first t slabs. A block of r rows thus costs O(log r) products of
-    growth, not one a row. Row a of T is zero past its block a, so `solve`
-    multiplies the first h = r // 2 block rows by the first h blocks of G
+    first t slabs. The strip thus costs O(log L) products, not one a row.
+    Row a of T is zero past its block a, so `solve` multiplies the first
+    h = r // 2 block rows of a block of r rows by the first h blocks of G
     only and the rest by all of G, 3/4 of the full product; the two views
-    of a block of L rows are made once, since the strip grows in place.
+    of a block of L rows are made once (`full`).
 
     Once F is known, a row's sums y = (P, C), its own block's rows
     included, give everything the block keeps or checks in one evaluation
@@ -422,7 +420,7 @@ class _Linear:
     rounding only.
     """
 
-    __slots__ = ("Kh", "strip", "grown", "full", "GA", "g0", "E", "e", "lo", "hi")
+    __slots__ = ("Kh", "strip", "full", "GA", "g0", "E", "e", "lo", "hi")
 
     def __init__(self, f: AffineClamp, f_corr: AffineClamp, pp: np.ndarray,
                  pz: np.ndarray, W: np.ndarray):
@@ -433,10 +431,20 @@ class _Linear:
         # K_1, ..., K_{L-1} side by side
         self.Kh = (W[1, :, None] * A[:, None] + W[0, :, None] * AAt[:, None]).reshape(d, -1)
         L = W.shape[1] + 1
-        self.strip = np.zeros((d, 2 * L - 1, d))
-        self.strip[:, L - 1] = np.eye(d)
-        self.grown = 1                      # R_0, ..., R_{grown-1} are in the strip
-        self.full = self._halves(L)         # valid as the strip grows in place
+        strip = self.strip = np.zeros((d, 2 * L - 1, d))
+        strip[:, L - 1] = np.eye(d)
+        g = 1                               # R_0, ..., R_{g-1} are in the strip
+        while g < L:
+            t = min(g, L - g)
+            # Y_m = [K_{m+1} ... K_{m+g}] (R_{g-1}; ...; R_0), m < t: the
+            # terms l > m of R_{g+m} = sum_l K_l R_{g+m-l}
+            known = strip[:, L - g : L].transpose(1, 0, 2).reshape(g * d, d)
+            Y = _slabs(self.Kh, 0, t, g * d, -d) @ known
+            # the terms l <= m are triangular, so (R_g; ...; R_{g+t-1}) = T Y
+            X = _slabs(strip, (L - 1) * d, t, t * d, d) @ Y.reshape(t * d, d)
+            strip[:, L - g - t : L - g] = X[::-1].transpose(1, 0, 2)
+            g += t
+        self.full = self._halves(L)
         self.GA = np.concatenate([AAt.T, A.T])
         self.g0 = A @ bt + bz
         # ev = y E + e = [z | predictor's clamp argument | f(z) | state's
@@ -467,21 +475,9 @@ class _Linear:
     def solve(self, G: np.ndarray, out: np.ndarray) -> None:
         """Write a block's derivatives F = T G, (rows, d), into out."""
         rows, d = G.shape
-        strip, g = self.strip, self.grown
-        L = strip.shape[1] // 2 + 1
-        while g < rows:
-            t = min(g, rows - g)
-            # Y_m = [K_{m+1} ... K_{m+g}] (R_{g-1}; ...; R_0), m < t: the
-            # terms l > m of R_{g+m} = sum_l K_l R_{g+m-l}
-            known = strip[:, L - g : L].transpose(1, 0, 2).reshape(g * d, d)
-            Y = _slabs(self.Kh, 0, t, g * d, -d) @ known
-            # the terms l <= m are triangular, so (R_g; ...; R_{g+t-1}) = T Y
-            X = _slabs(strip, (L - 1) * d, t, t * d, d) @ Y.reshape(t * d, d)
-            strip[:, L - g - t : L - g] = X[::-1].transpose(1, 0, 2)
-            g += t
-        self.grown = g
         G = G.ravel()
         h = rows // 2
+        L = self.strip.shape[1] // 2 + 1
         first, rest = self.full if rows == L else self._halves(rows)
         np.matmul(first, G[: h * d], out=out[:h])
         np.matmul(rest, G, out=out[h:])

@@ -230,9 +230,12 @@ def sample_realization(spec: SystemSpec, selector: str,
     """A realization: its read-only M = [[A, A*], [B*, B]] (A = M[:n, :n]).
     lower and upper are the spec's own assembled bounds M_lo and M_hi, and
     midpoint is their mean. random draws each entry uniformly, block by
-    block in BLOCKS order from one generator, so a seed fixes every block."""
+    block in BLOCKS order from one generator, so a seed fixes every block; a
+    seed is an integer >= 0 (`as_count`), and None draws fresh entropy."""
     if selector not in SELECTORS:
         raise SpecError(f"unknown selector {selector!r}")
+    if seed is not None and as_count(seed, "seed") < 0:
+        raise SpecError("seed must be >= 0")
     if selector == "random":
         rng = np.random.default_rng(seed)
         parts = [im.lower + rng.random(im.lower.shape) * (im.upper - im.lower)

@@ -5,6 +5,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fpds
@@ -29,16 +30,31 @@ def test_a_against_a_agrees_bitwise(capsys, workload):
     assert _ab().main(["--base", str(SRC), "--workload", workload, "--requests", "3"]) == 0
     result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert {"workload", "seed", "requests", "base", "change", "ratio_median", "ratio_ci95",
-            "time_median_s", "max_output_diff", "outputs_bitwise_equal", "failures",
-            "environment"} <= result.keys()
+            "ratio_sum", "ratio_sum_ci95", "time_median_s", "max_output_diff",
+            "outputs_bitwise_equal", "failures", "environment"} <= result.keys()
     assert (result["workload"], result["requests"]) == (workload, 3)
     assert result["failures"] == []
     assert result["outputs_bitwise_equal"] and result["max_output_diff"] == 0.0
-    lo, hi = result["ratio_ci95"]
-    assert math.isfinite(lo) and math.isfinite(hi)
-    assert lo <= result["ratio_median"] <= hi
+    for point, interval in (("ratio_median", "ratio_ci95"), ("ratio_sum", "ratio_sum_ci95")):
+        lo, hi = result[interval]
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert lo <= result[point] <= hi
     assert set(result["time_median_s"]) == {"base", "change"}
     assert {"python", "numpy", "blas", "machine"} <= result["environment"].keys()
+
+
+def test_the_summed_ratio_sees_a_slowdown_of_the_largest_request():
+    # nine requests unchanged and the largest, nine times as long as each,
+    # twice as long: the median ratio reads 1, the summed ratio, which
+    # throughput follows, 1.5. Resamples without the large request, about a
+    # third of them, read 1; those with two or more copies read 1.69 or more
+    base = np.array([1.0] * 9 + [9.0])
+    change = base * np.array([1.0] * 9 + [2.0])
+    result = _ab().ratios(base, change, np.random.default_rng(0))
+    assert result["ratio_median"] == 1.0 and result["ratio_ci95"] == [1.0, 1.0]
+    assert result["ratio_sum"] == 1.5
+    lo, hi = result["ratio_sum_ci95"]
+    assert lo == 1.0 and hi > 1.6
 
 
 def test_trees_load_as_distinct_packages():

@@ -108,6 +108,20 @@ def test_random_sampling_deterministic(ex41):
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("selector", ["random", "lower"])
+@pytest.mark.parametrize("seed", [True, False, 2.0, -1, "3"])
+def test_a_seed_must_be_a_nonnegative_integer(ex41, selector, seed):
+    # numpy would draw True as seed 1 and raise its own TypeError or
+    # ValueError on the others; a given seed is checked for every selector
+    with pytest.raises(SpecError, match="seed"):
+        fpds.sample_realization(ex41, selector, seed=seed)
+
+
+def test_a_numpy_integer_seed_is_the_same_seed(ex41):
+    a = fpds.sample_realization(ex41, "random", seed=np.int64(5))
+    assert a.tobytes() == fpds.sample_realization(ex41, "random", seed=5).tobytes()
+
+
 def test_realization_containment_check(ex41):
     real = fpds.sample_realization(ex41, "midpoint")
     fpds.check_realization(ex41, real)  # no raise

@@ -11,12 +11,15 @@ benchmark's reference outputs are stored for (bench/checks.py's
 DEFAULT_SEED) and run on both, in a random order per request, each run
 timed on its own; both outputs then go through the workload's own checks.
 The last line of standard output is one JSON object: the median of the
-per-request time ratios B/A with a bootstrap 95% interval, the median
-request times, the largest difference between the two trees' outputs
-(relative to max(1, |A's value|), over the whole trajectory where the
-request has one and the workload's reference record), whether the outputs
-agree bitwise, any check failures, and the environment. The exit code is 0
-only if every request ran and passed its checks on both trees.
+per-request time ratios B/A and the ratio of the summed request times,
+each with a bootstrap 95% interval, the median request times, the largest
+difference between the two trees' outputs (relative to max(1, |A's
+value|), over the whole trajectory where the request has one and the
+workload's reference record), whether the outputs agree bitwise, any
+check failures, and the environment. The exit code is 0 only if every
+request ran and passed its checks on both trees. Throughput is requests
+per summed time, so it follows the summed ratio: a slowdown confined to
+the largest requests barely moves the median.
 
 Use it for a speed claim in seconds instead of minutes: a ratio measured
 within one process is free of the drift between separate runs on a shared
@@ -120,11 +123,16 @@ def difference(a: np.ndarray, b: np.ndarray) -> float:
     return float(rel.max(initial=0.0))
 
 
-def bootstrap(ratios: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
-    """The 2.5 and 97.5 percentiles of the median over resamples of ratios."""
-    idx = rng.integers(0, ratios.size, (RESAMPLES, ratios.size))
-    lo, hi = np.percentile(np.median(ratios[idx], axis=1), [2.5, 97.5])
-    return float(lo), float(hi)
+def ratios(base: np.ndarray, change: np.ndarray, rng: np.random.Generator) -> dict:
+    """The median of the per-request time ratios change / base and the ratio
+    of the summed times, each with a bootstrap 95% interval: the 2.5 and
+    97.5 percentiles over RESAMPLES resamples of the requests."""
+    idx = rng.integers(0, base.size, (RESAMPLES, base.size))
+    a, b = base[idx], change[idx]
+    medians = np.percentile(np.median(b / a, axis=1), [2.5, 97.5])
+    sums = np.percentile(b.sum(axis=1) / a.sum(axis=1), [2.5, 97.5])
+    return {"ratio_median": float(np.median(change / base)), "ratio_ci95": medians.tolist(),
+            "ratio_sum": float(change.sum() / base.sum()), "ratio_sum_ci95": sums.tolist()}
 
 
 def environment() -> dict:
@@ -182,12 +190,10 @@ def compare(base: Path, change: Path, workload: str, requests: int) -> dict:
         diff = max(diff, difference(a, b))
         equal = equal and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    ratios = np.array(times["change"]) / np.array(times["base"])
-    lo, hi = bootstrap(ratios, rng)
     return {
         "workload": workload, "seed": seed, "requests": requests,
         "base": str(Path(base).resolve()), "change": str(Path(change).resolve()),
-        "ratio_median": float(np.median(ratios)), "ratio_ci95": [lo, hi],
+        **ratios(np.array(times["base"]), np.array(times["change"]), rng),
         "time_median_s": {side: statistics.median(t) for side, t in times.items()},
         "max_output_diff": diff, "outputs_bitwise_equal": equal,
         "failures": failures, "environment": environment(),
@@ -206,8 +212,10 @@ def main(argv=None) -> int:
     for f in result["failures"]:
         print(f"FAILED {f}", file=sys.stderr)
     lo, hi = result["ratio_ci95"]
+    lo_sum, hi_sum = result["ratio_sum_ci95"]
     print(f"# {args.workload}: time B/A median {result['ratio_median']:.4f} "
-          f"[{lo:.4f}, {hi:.4f}] over {args.requests} requests; "
+          f"[{lo:.4f}, {hi:.4f}], summed {result['ratio_sum']:.4f} "
+          f"[{lo_sum:.4f}, {hi_sum:.4f}] over {args.requests} requests; "
           f"largest output difference {result['max_output_diff']:.3g}")
     print(json.dumps(result))
     return 0 if not result["failures"] else 1
